@@ -153,14 +153,14 @@ def calibrate_sigma(
     if eps_lo == target_epsilon:
         return lo
     for _ in range(200):
-        eps_at_hi = spend(hi)
-        if eps_at_hi >= target_epsilon * (1.0 - 1e-4):
+        if eps_hi >= target_epsilon * (1.0 - 1e-4):
             return hi
         mid = 0.5 * (lo + hi)
-        if spend(mid) > target_epsilon:
+        eps_mid = spend(mid)
+        if eps_mid > target_epsilon:
             lo = mid
         else:
-            hi = mid
+            hi, eps_hi = mid, eps_mid
     raise CalibrationError("bisection failed to converge; epsilon may be discontinuous in sigma")
 
 

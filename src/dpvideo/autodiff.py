@@ -5,6 +5,14 @@ Models declare their graph once; forward/backward walk the record with values
 held in a per-run list, so the tape itself is immutable during a batch and
 safe to share across concurrent per-sample computations.
 
+Shape contract: every value on a walk carries a leading clip axis. An input
+at its declared shape is a lone clip (K = 1); one extra leading axis makes it
+a stack of K clips, so one walk covers a whole video. Each clip is computed
+bit for bit as a lone walk would compute it: parameter adjoints stay per clip
+until backward sums them in clip order, and a vector per clip (the pooled
+features at the head) is multiplied as a stack of gemv products,
+a[:, None, :] @ w, since one (K, H) @ (H, C) gemm rounds differently.
+
 Primitives: matmul, (broadcasting) add, relu, group/layer normalization,
 temporal mean-pool, softmax cross-entropy.
 """
@@ -103,9 +111,12 @@ def _eval_node(node: Node, values: list, inputs: dict, params: ParameterStore):
         except KeyError:
             raise KeyError(f"missing input {node.name!r}") from None
         v = np.asarray(v, dtype=np.float64)
-        if v.shape != node.meta["shape"]:
+        shape = node.meta["shape"]
+        if v.shape == shape:
+            return v[None]  # a lone clip is a stack of one
+        if v.shape[1:] != shape:
             raise ShapeMismatchError(
-                f"input {node.name!r}: expected shape {node.meta['shape']}, got {v.shape}"
+                f"input {node.name!r}: expected shape {shape} or (clips,) + {shape}, got {v.shape}"
             )
         return v
     if kind == "param":
@@ -114,15 +125,17 @@ def _eval_node(node: Node, values: list, inputs: dict, params: ParameterStore):
     if kind == "relu":
         return np.maximum(a, 0.0)
     if kind == "mean_pool":
-        if a.ndim != 2:
-            raise ShapeMismatchError(f"node {node.name!r}: mean_pool expects a matrix, got shape {a.shape}")
-        return a.mean(axis=0)
+        if a.ndim != 3:
+            raise ShapeMismatchError(f"node {node.name!r}: mean_pool expects a matrix per clip, got shape {a.shape}")
+        return a.mean(axis=1)
     if kind == "matmul":
         b = values[node.inputs[1]]
         if a.shape[-1] != b.shape[0]:
             raise ShapeMismatchError(
                 f"node {node.name!r}: matmul shapes {a.shape} x {b.shape} do not compose"
             )
+        if a.ndim == 2:  # one vector per clip: a stack of gemv products
+            return (a[:, None, :] @ b)[:, 0]
         return a @ b
     if kind == "add":
         b = values[node.inputs[1]]
@@ -139,15 +152,15 @@ def _eval_node(node: Node, values: list, inputs: dict, params: ParameterStore):
         return normed * scale + shift
     if kind == "softmax_xent":
         logits = a
-        label = int(values[node.inputs[1]])
-        if logits.ndim != 1:
-            raise ShapeMismatchError(f"node {node.name!r}: expected a logit vector, got shape {logits.shape}")
-        if not 0 <= label < logits.shape[0]:
-            raise ValueError(f"node {node.name!r}: label {label} out of range for {logits.shape[0]} classes")
+        if logits.ndim != 2:
+            raise ShapeMismatchError(f"node {node.name!r}: expected a logit vector per clip, got shape {logits.shape}")
+        labels = values[node.inputs[1]].astype(np.intp)  # a video's label covers all its clips
+        if not all(0 <= label < logits.shape[1] for label in labels.tolist()):
+            raise ValueError(f"node {node.name!r}: label {labels} out of range for {logits.shape[1]} classes")
         with np.errstate(invalid="ignore"):  # non-finite logits surface as a non-finite loss
-            m = logits.max()
-            lse = m + np.log(np.exp(logits - m).sum())
-            return np.float64(lse - logits[label])
+            m = logits.max(axis=1)
+            lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+            return lse - logits[np.arange(len(logits)), labels]
     raise ValueError(f"unknown node kind {kind!r}")
 
 
@@ -159,17 +172,21 @@ def run_forward(tape: Tape, inputs: dict, params: ParameterStore) -> list:
     return values
 
 
-def forward(tape: Tape, inputs: dict, params: ParameterStore) -> tuple[float, np.ndarray]:
-    """Loss and logits for one sample. Deterministic: same inputs, same bits."""
+def forward(tape: Tape, inputs: dict, params: ParameterStore):
+    """Loss and logits of one walk: per clip for a clip stack, a float loss and
+    one logit vector for a lone clip. Deterministic: same inputs, same bits."""
     if tape.loss_id is None or tape.logits_id is None:
         raise ValueError("tape outputs not marked")
     values = run_forward(tape, inputs, params)
-    return float(values[tape.loss_id]), values[tape.logits_id]
+    losses, logits = values[tape.loss_id], values[tape.logits_id]
+    if all(np.shape(inputs[name]) == shape for name, shape in tape.input_shapes.items()):
+        return float(losses[0]), logits[0]
+    return losses, logits
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def backward(
@@ -179,16 +196,17 @@ def backward(
     values: list | None = None,
     adjoint_seed: float = 1.0,
 ) -> dict[str, np.ndarray]:
-    """Gradients of (adjoint_seed * loss) w.r.t. every parameter node.
+    """Gradients of (adjoint_seed * summed clip losses) w.r.t. every parameter node.
 
     Returns a dict name -> gradient array; parameters used at several nodes
-    accumulate. Traversal is a fixed reverse walk of the record, so repeated
-    calls are bit-identical.
+    accumulate. Each clip's gradient is formed as a lone walk would form it,
+    then the clip gradients are summed in clip order. Traversal is a fixed
+    reverse walk of the record, so repeated calls are bit-identical.
     """
     if values is None:
         values = run_forward(tape, inputs, params)
     adjoints: list = [None] * len(tape.nodes)
-    adjoints[tape.loss_id] = np.float64(adjoint_seed)
+    adjoints[tape.loss_id] = np.full(len(values[tape.loss_id]), np.float64(adjoint_seed))
 
     def accumulate(node_id: int, grad: np.ndarray) -> None:
         if adjoints[node_id] is None:
@@ -206,16 +224,18 @@ def backward(
             accumulate(node.inputs[0], g * (a > 0.0))
         elif node.kind == "mean_pool":
             a = values[node.inputs[0]]
-            rows = a.shape[0]
-            accumulate(node.inputs[0], np.broadcast_to(g / rows, a.shape).copy())
+            rows = a.shape[1]
+            accumulate(node.inputs[0], np.broadcast_to((g / rows)[:, None, :], a.shape).copy())
         elif node.kind == "matmul":
             a = values[node.inputs[0]]
             b = values[node.inputs[1]]
-            accumulate(node.inputs[0], g @ b.T)
-            if a.ndim == 1:
-                accumulate(node.inputs[1], np.outer(a, g))
+            # weight adjoints per clip: one product over all K * rows would round differently
+            if a.ndim == 2:
+                accumulate(node.inputs[0], (g[:, None, :] @ b.T)[:, 0])
+                accumulate(node.inputs[1], a[:, :, None] * g[:, None, :])
             else:
-                accumulate(node.inputs[1], a.T @ g)
+                accumulate(node.inputs[0], g @ b.T)
+                accumulate(node.inputs[1], np.swapaxes(a, -1, -2) @ g)
         elif node.kind == "add":
             a = values[node.inputs[0]]
             b = values[node.inputs[1]]
@@ -223,8 +243,8 @@ def backward(
             if a.shape == b.shape:
                 accumulate(node.inputs[1], g)
             else:
-                # bias broadcast over leading axis
-                accumulate(node.inputs[1], g.sum(axis=0))
+                # bias broadcast over the rows of each clip
+                accumulate(node.inputs[1], g.sum(axis=tuple(range(1, g.ndim - 1))))
         elif node.kind == "norm":
             x = values[node.inputs[0]]
             scale = values[node.inputs[1]]
@@ -233,7 +253,7 @@ def backward(
             gx, mean, var = _group_stats(x, groups)
             inv = 1.0 / np.sqrt(var + eps)
             xhat = ((gx - mean) * inv).reshape(x.shape)
-            axes = tuple(range(x.ndim - 1))
+            axes = tuple(range(1, x.ndim - 1))
             accumulate(node.inputs[1], (g * xhat).sum(axis=axes))
             accumulate(node.inputs[2], g.sum(axis=axes))
             dxhat = (g * scale).reshape(gx.shape)
@@ -244,10 +264,9 @@ def backward(
             accumulate(node.inputs[0], dx)
         elif node.kind == "softmax_xent":
             logits = values[node.inputs[0]]
-            label = int(values[node.inputs[1]])
             grad = _softmax(logits)
-            grad[label] -= 1.0
-            accumulate(node.inputs[0], g * grad)
+            grad[np.arange(len(logits)), values[node.inputs[1]].astype(np.intp)] -= 1.0
+            accumulate(node.inputs[0], g[:, None] * grad)
         else:
             raise ValueError(f"unknown node kind {node.kind!r}")
 
@@ -256,7 +275,7 @@ def backward(
         if node.kind == "param" and adjoints[i] is not None:
             prev = grads.get(node.name)
             grads[node.name] = adjoints[i] if prev is None else prev + adjoints[i]
-    return grads
+    return {name: g.sum(axis=0) for name, g in grads.items()}
 
 
 def per_sample_gradients(
@@ -264,9 +283,10 @@ def per_sample_gradients(
 ) -> tuple[list[np.ndarray], list[float]]:
     """Per-sample gradient vectors for a batch with a leading sample axis.
 
-    Each sample runs through the tape independently (microbatch of one), so
-    element i is exactly the gradient of sample i's loss, flattened over the
-    trainable parameters in store order. Also returns the per-sample losses.
+    A sample is a lone clip or a video's (K, frames, features) clip stack.
+    Each sample is one walk of the tape, so element i is exactly the gradient
+    of sample i's mean clip loss, flattened over the trainable parameters in
+    store order. Also returns the per-clip losses, in sample then clip order.
     """
     arrays = {n: np.asarray(v, dtype=np.float64) for n, v in batch.items()}
     sizes = {len(a) for a in arrays.values()}
@@ -280,11 +300,11 @@ def per_sample_gradients(
     for i in range(count):
         sample = {n: a[i] for n, a in arrays.items()}
         values = run_forward(tape, sample, params)
-        loss = float(values[tape.loss_id])
-        if not np.isfinite(loss):
-            raise NonFiniteLossError(f"non-finite loss ({loss}) at sample index {i}")
-        losses.append(loss)
-        grads.append(params.pack_gradient(backward(tape, sample, params, values=values)))
+        clip_losses = values[tape.loss_id]
+        if not np.all(np.isfinite(clip_losses)):
+            raise NonFiniteLossError(f"non-finite loss ({clip_losses}) at sample index {i}")
+        losses.extend(clip_losses.tolist())
+        grads.append(params.pack_gradient(backward(tape, sample, params, values=values)) / len(clip_losses))
     return grads, losses
 
 

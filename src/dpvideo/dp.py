@@ -1,13 +1,11 @@
-"""Gradient clipping, noisy aggregation, and the private training steps.
+"""Gradient clipping, noisy aggregation, and the private training step.
 
-Two step flavors share the same clip-then-noise pipeline; they differ in what
-the protected unit is:
-
-  - dp_sgd_step: each clip is a sample; its gradient is clipped directly.
-  - multi_clip_step: each video is a sample; the gradients of its sampled
-    clips are averaged first, then the per-video average is clipped. No
-    cross-video mixing happens before clipping, so one video contributes at
-    most clip_norm to the aggregate regardless of how many clips it supplied.
+There is one private step, multi_clip_step: each video is a sample; the
+gradients of its sampled clips are averaged first (one tape walk over the
+video's clip stack), then the per-video average is clipped. No cross-video
+mixing happens before clipping, so one video contributes at most clip_norm to
+the aggregate regardless of how many clips it supplied. Clip-level DP-SGD,
+dp_sgd_step, is its k=1 case: every clip is a video of one clip.
 
 Noise is drawn from a counter-based stream keyed by (seed, step_id), so a
 step's noise never depends on the number of clips per video.
@@ -92,28 +90,17 @@ def noisy_aggregate(clipped: list[np.ndarray], cfg: NoiseConfig, step_id: int) -
     return total / len(clipped)
 
 
-def clip_sample_gradients(
-    tape: Tape, store: ParameterStore, batch: list[tuple[np.ndarray, int]], cfg: NoiseConfig
-) -> tuple[list[np.ndarray], list[float]]:
-    """Clipped per-clip gradients for a clip-mode batch, in batch order."""
-    clips = np.stack([c for c, _ in batch])
-    labels = np.array([lab for _, lab in batch], dtype=np.float64)
-    grads, losses = per_sample_gradients(tape, {"clip": clips, "label": labels}, store)
-    return [clip_gradient(g, cfg.clip_norm) for g in grads], losses
-
-
 def per_video_gradient(
     tape: Tape, store: ParameterStore, entry: MultiClipEntry
 ) -> tuple[np.ndarray, list[float]]:
-    """Equal-weight average of the entry's clip gradients, summed in clip-index order."""
+    """Equal-weight average of the entry's clip gradients, summed in clip-index
+    order, and the per-clip losses; the video is one sample of one walk."""
     ordered = sorted(entry.clips, key=lambda pair: pair[0])
     clips = np.stack([c for _, c in ordered])
-    labels = np.full(len(ordered), entry.label, dtype=np.float64)
-    grads, losses = per_sample_gradients(tape, {"clip": clips, "label": labels}, store)
-    total = np.zeros_like(grads[0])
-    for g in grads:
-        total += g
-    return total / len(grads), losses
+    grads, losses = per_sample_gradients(
+        tape, {"clip": clips[None], "label": np.array([entry.label], dtype=np.float64)}, store
+    )
+    return grads[0], losses
 
 
 def clip_video_gradients(
@@ -137,11 +124,9 @@ def dp_sgd_step(
     lr: float,
     step_id: int,
 ) -> StepStats:
-    """One clip-level private step: clip per-clip gradients, noise, descend."""
-    clipped, losses = clip_sample_gradients(tape, store, batch, cfg)
-    update = noisy_aggregate(clipped, cfg, step_id)
-    store.apply_delta(-lr * update)
-    return StepStats(batch_size=len(batch), mean_loss=float(np.mean(losses)))
+    """One clip-level private step: multi_clip_step with every clip its own video."""
+    videos = [MultiClipEntry(label=label, clips=[(0, clip)]) for clip, label in batch]
+    return multi_clip_step(videos, tape, store, cfg, lr, step_id)
 
 
 def multi_clip_step(

@@ -1,7 +1,8 @@
 """Small clip classifiers with swappable normalization and insertable adapters.
 
 Architecture: per-frame MLP encoder -> temporal mean-pool -> linear head.
-A clip of shape (frames_per_clip, input_dim) maps to num_classes logits.
+A clip of shape (frames_per_clip, input_dim) maps to num_classes logits; a
+stack of K such clips maps to (K, num_classes) logits in one tape walk.
 BatchNorm is deliberately unsupported: batch statistics couple samples, which
 breaks per-sample gradient semantics.
 """
@@ -267,23 +268,15 @@ def insert_adapters(model: Model, spec: AdapterSpec, seed: int) -> ParameterStor
 
 
 def predict_video(model: Model, video: VideoSample) -> int:
-    """Argmax of clip logits averaged over all of the video's clips.
-
-    Ties break toward the lowest class index.
-    """
-    clips = chunk_video(video, model.config.frames_per_clip)
-    total = np.zeros(model.config.num_classes)
-    for clip in clips:
-        total += model.clip_logits(clip)
-    return int(np.argmax(total / len(clips)))
+    """Argmax of video_logits; ties break toward the lowest class index."""
+    return int(np.argmax(video_logits(model, video)))
 
 
 def video_logits(model: Model, video: VideoSample) -> np.ndarray:
-    clips = chunk_video(video, model.config.frames_per_clip)
-    total = np.zeros(model.config.num_classes)
-    for clip in clips:
-        total += model.clip_logits(clip)
-    return total / len(clips)
+    """Clip logits averaged over all of the video's clips, summed in clip order."""
+    clips = np.stack(chunk_video(video, model.config.frames_per_clip))
+    _, logits = forward(model.tape, {"clip": clips, "label": 0}, model.params)
+    return logits.sum(axis=0) / len(clips)
 
 
 def save_checkpoint(path: str, store: ParameterStore) -> None:

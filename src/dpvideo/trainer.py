@@ -262,9 +262,10 @@ def sweep_clips(
     seeds: list[int] | None = None,
     jobs: int = 1,
 ) -> list[RunReport]:
-    """One run per (k, seed) with shared calibration; identical (sigma, steps,
-    epsilon) across k is asserted, since the accountant never sees k. Runs are
-    fully independent, so jobs > 1 executes them in separate processes."""
+    """One run per (k, seed); identical (sigma, steps, epsilon) across k is
+    asserted, since the accountant never sees k. Each run calibrates sigma
+    again, so a sweep of n runs pays n calibrations. Runs are fully
+    independent, so jobs > 1 executes them in separate processes."""
     if not k_values:
         raise ValueError("no clip counts to sweep")
     seeds = [config.seed] if seeds is None else list(seeds)

@@ -154,6 +154,20 @@ class TestCalibration:
         assert eps_of_sigma(ours) == pytest.approx(5.0, rel=1e-4)
         assert ours == pytest.approx(ref, rel=1e-3)
 
+    def test_each_bisection_sigma_is_accounted_once(self, monkeypatch):
+        created = []
+        create = AccountantState.create.__func__
+
+        def counting_create(cls, *args, **kwargs):
+            created.append(args)
+            return create(cls, *args, **kwargs)
+
+        monkeypatch.setattr(AccountantState, "create", classmethod(counting_create))
+        calibrate_sigma(5.0, 1e-5, 0.1, 400)
+        sigmas = [args[1] for args in created]
+        assert len(sigmas) == len(set(sigmas))
+        assert len(sigmas) == 20  # two bracket ends and 18 bisection midpoints
+
     def test_infeasible_target_reports_achievable_range(self):
         with pytest.raises(CalibrationError, match="achievable range"):
             calibrate_sigma(1e9, 1e-5, 0.01, 1)

@@ -11,7 +11,8 @@ from dpvideo.autodiff import (
     gradient_of_mean_loss,
     per_sample_gradients,
 )
-from dpvideo.models import Model, ModelConfig, build_model
+from dpvideo.data import VideoSample
+from dpvideo.models import AdapterSpec, Model, ModelConfig, build_model, insert_adapters, predict_video, video_logits
 from oracles import finite_difference, grad_close
 
 
@@ -271,3 +272,38 @@ def test_batch_must_be_nonempty():
         per_sample_gradients(
             model.tape, {"clip": np.zeros((0, 1, 3)), "label": np.zeros(0)}, model.params
         )
+
+
+@pytest.mark.parametrize("width", [64, 128])
+@pytest.mark.parametrize("clips", [1, 2, 8])
+@pytest.mark.parametrize("adapters", [False, True])
+@pytest.mark.parametrize("norm", ["layer", "group", "none"])
+def test_one_walk_over_a_video_matches_lone_clip_walks_bitwise(norm, adapters, clips, width):
+    config = ModelConfig(input_dim=12, frames_per_clip=4, hidden_dims=(width,), norm_kind=norm,
+                         norm_groups=4 if norm == "group" else 1, num_classes=10)
+    model = build_model(config, seed=width + clips)
+    if adapters:
+        insert_adapters(model, AdapterSpec(16), seed=3)
+    gen = np.random.default_rng(clips)
+    for name in model.params.names():  # leave the init so that every product is generic
+        value = model.params.value(name)
+        model.params.set_value(name, value + 0.3 * gen.standard_normal(value.shape))
+    stack = gen.standard_normal((clips, 4, 12))
+
+    total = np.zeros(model.params.count_trainable())
+    lone_losses = []
+    for clip in stack:
+        inputs = {"clip": clip, "label": 7}
+        total += model.params.pack_gradient(backward(model.tape, inputs, model.params))
+        lone_losses.append(forward(model.tape, inputs, model.params)[0])
+    grads, losses = per_sample_gradients(
+        model.tape, {"clip": stack[None], "label": np.array([7.0])}, model.params)
+    assert np.array_equal(grads[0], total / clips)
+    assert losses == lone_losses
+
+    logits = np.zeros(10)
+    for clip in stack:
+        logits += model.clip_logits(clip)
+    video = VideoSample(id=0, label=7, frames=stack.reshape(clips * 4, 12))
+    assert np.array_equal(video_logits(model, video), logits / clips)
+    assert predict_video(model, video) == int(np.argmax(video_logits(model, video)))

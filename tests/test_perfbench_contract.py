@@ -1,0 +1,48 @@
+"""The benchmark's traced run wraps dpvideo functions by name; they must stay.
+
+perfbench/layers.py lists (owner, attribute) pairs and replaces each attribute
+with a timing span. A renamed or deleted attribute makes a traced run fail, so
+every pair must name an attribute defined directly on its owner. The
+benchmark's checks also call a few functions directly; their return shapes
+are pinned here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from dpvideo import dp, models
+from dpvideo.data import VideoSample
+
+LAYERS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+
+
+def load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_point_names_an_attribute_of_its_owner():
+    layers = load_layers()
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in layers.POINTS
+               if attr not in owner.__dict__]
+    assert not missing
+
+
+def test_functions_the_benchmark_checks_call_keep_their_shapes():
+    config = models.ModelConfig(input_dim=3, frames_per_clip=2, hidden_dims=(4,), num_classes=5)
+    model = models.build_model(config, seed=0)
+    gen = np.random.default_rng(0)
+    entries = [dp.MultiClipEntry(label=1, clips=[(i, gen.standard_normal((2, 3))) for i in range(k)])
+               for k in (1, 3)]
+    grad, losses = dp.per_video_gradient(model.tape, model.params, entries[1])
+    assert grad.shape == (model.params.count_trainable(),) and len(losses) == 3
+    cfg = dp.NoiseConfig(clip_norm=1.0, noise_multiplier=0.0, seed=0)
+    clipped, losses = dp.clip_video_gradients(model.tape, model.params, entries, cfg)
+    assert [g.shape for g in clipped] == [grad.shape] * 2 and len(losses) == 4
+    video = VideoSample(id=0, label=1, frames=gen.standard_normal((6, 3)))
+    assert models.video_logits(model, video).shape == (5,)
+    assert isinstance(models.predict_video(model, video), int)
