@@ -20,7 +20,7 @@ import sys
 from .accountant import AccountantState, CalibrationError, calibrate_sigma
 from .config import ConfigError, load_pretrain_config, load_sweep_lists, load_train_config
 from .data import DatasetSpec, generate_dataset, save_dataset
-from .trainer import RunReport, pretrain, report_to_dict, sweep_clips, train, write_report
+from .trainer import RunReport, csv_row, pretrain, report_to_dict, sweep_clips, train, write_report
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -90,7 +90,8 @@ def cmd_generate_data(args) -> int:
         raise ConfigError(str(e)) from None
     videos = generate_dataset(spec)
     save_dataset(args.out, spec, videos)
-    digest = hashlib.sha256(open(args.out, "rb").read()).hexdigest()
+    with open(args.out, "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()
     print(f"{digest}  {args.out}")
     return EXIT_OK
 
@@ -154,7 +155,7 @@ def cmd_sweep(args) -> int:
             base = os.path.join(args.out, f"report_k{rep.clips_per_video}_seed{rep.seed}")
             write_report(rep, base + ".json", base + ".csv")
             for r in rep.records:
-                f.write(f"{rep.clips_per_video},{rep.seed},{r.step},{r.epsilon!r},{r.loss!r},{r.accuracy!r}\n")
+                f.write(f"{rep.clips_per_video},{rep.seed},{csv_row(r)}\n")
     for rep in reports:
         print(f"k={rep.clips_per_video} seed={rep.seed} ", end="")
         _print_acc_at_eps(rep)

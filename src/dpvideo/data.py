@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import records, rng
 
 DATASET_MAGIC = b"DPVD"
 DATASET_VERSION = 1
@@ -127,78 +127,42 @@ def sample_clips(
     return [(i, clips[i]) for i in indices]
 
 
+# The header holds DatasetSpec's fields in order, with a has-template-seed flag
+# before template_seed. Each video record is id, label, frame count and feature
+# count, then the frames as float64.
+_HEADER = "<IIIIIdQBQd"
+_VIDEO = "<QIII"
+
+
 def save_dataset(path: str, spec: DatasetSpec, videos: list[VideoSample]) -> None:
     with open(path, "wb") as f:
-        f.write(DATASET_MAGIC)
-        f.write(struct.pack("<I", DATASET_VERSION))
-        f.write(
-            struct.pack(
-                "<IIIII",
-                spec.num_classes,
-                spec.videos_per_class,
-                spec.frames_per_video,
-                spec.clip_length,
-                spec.feature_dim,
-            )
-        )
-        f.write(struct.pack("<d", spec.noise_std))
-        f.write(struct.pack("<Q", spec.seed))
-        f.write(struct.pack("<B", 0 if spec.template_seed is None else 1))
-        f.write(struct.pack("<Q", spec.template_seed or 0))
-        f.write(struct.pack("<d", spec.template_jitter))
+        records.write_header(f, DATASET_MAGIC, DATASET_VERSION)
+        f.write(struct.pack(
+            _HEADER, spec.num_classes, spec.videos_per_class, spec.frames_per_video, spec.clip_length,
+            spec.feature_dim, spec.noise_std, spec.seed, spec.template_seed is not None,
+            spec.template_seed or 0, spec.template_jitter,
+        ))
         for v in videos:
-            frames = np.ascontiguousarray(v.frames, dtype="<f8")
-            f.write(struct.pack("<QIII", v.id, v.label, frames.shape[0], frames.shape[1]))
-            f.write(frames.tobytes())
-
-
-def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise DatasetFormatError(
-            f"truncated dataset file: expected {n} bytes for {what} at byte offset {f.tell() - len(data)}"
-        )
-    return data
+            f.write(struct.pack(_VIDEO, v.id, v.label, *v.frames.shape))
+            records.write_array(f, v.frames)
 
 
 def load_dataset(path: str) -> tuple[DatasetSpec, list[VideoSample]]:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != DATASET_MAGIC:
-            raise DatasetFormatError(f"bad magic {magic!r}; not a dataset file")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
-        if version != DATASET_VERSION:
-            raise DatasetFormatError(f"unsupported dataset version {version}")
-        num_classes, vpc, frames_total, clip_len, dim = struct.unpack(
-            "<IIIII", _read_exact(f, 20, "spec fields")
-        )
-        (noise_std,) = struct.unpack("<d", _read_exact(f, 8, "noise_std"))
-        (seed,) = struct.unpack("<Q", _read_exact(f, 8, "seed"))
-        (has_tseed,) = struct.unpack("<B", _read_exact(f, 1, "template seed flag"))
-        (tseed,) = struct.unpack("<Q", _read_exact(f, 8, "template seed"))
-        (jitter,) = struct.unpack("<d", _read_exact(f, 8, "template jitter"))
-        spec = DatasetSpec(
-            num_classes=num_classes,
-            videos_per_class=vpc,
-            frames_per_video=frames_total,
-            clip_length=clip_len,
-            feature_dim=dim,
-            noise_std=noise_std,
-            seed=seed,
-            template_seed=tseed if has_tseed else None,
-            template_jitter=jitter,
-        )
+    with records.open_records(path, DATASET_MAGIC, DATASET_VERSION, DatasetFormatError, "dataset") as r:
+        *fields, has_tseed, tseed, jitter = r.unpack(_HEADER, "dataset header")
+        try:
+            spec = DatasetSpec(*fields, tseed if has_tseed else None, jitter)
+        except ValueError as e:
+            raise DatasetFormatError(f"bad dataset header: {e}") from None
         videos = []
-        while True:
-            head = f.read(20)
-            if not head:
-                break
-            if len(head) != 20:
+        while not r.at_end():
+            at = r.offset
+            vid, label, t, d = r.unpack(_VIDEO, "video header")
+            if label >= spec.num_classes or (t, d) != (spec.frames_per_video, spec.feature_dim):
                 raise DatasetFormatError(
-                    f"truncated dataset file: partial video header at byte offset {f.tell() - len(head)}"
+                    f"video {vid} at byte offset {at}: label {label} and frames {(t, d)} do not fit the "
+                    f"spec's {spec.num_classes} classes and frames {(spec.frames_per_video, spec.feature_dim)}"
                 )
-            vid, label, t, d = struct.unpack("<QIII", head)
-            payload = _read_exact(f, 8 * t * d, f"frames of video {vid}")
-            frames = np.frombuffer(payload, dtype="<f8").reshape(t, d).astype(np.float64)
+            frames = r.array((t, d), f"frames of video {vid}")
             videos.append(VideoSample(id=vid, label=label, frames=frames))
     return spec, videos

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import records, rng
 from .autodiff import Tape, forward
 from .data import VideoSample, chunk_video
 
@@ -50,10 +50,6 @@ class ModelConfig:
             for h in self.hidden_dims:
                 if h % self.norm_groups != 0:
                     raise ValueError(f"norm_groups={self.norm_groups} does not divide hidden width {h}")
-
-    @property
-    def has_norm(self) -> bool:
-        return self.norm_kind != "none" and len(self.hidden_dims) > 0
 
 
 @dataclass(frozen=True)
@@ -280,62 +276,37 @@ def video_logits(model: Model, video: VideoSample) -> np.ndarray:
 
 
 def save_checkpoint(path: str, store: ParameterStore) -> None:
-    """Binary checkpoint: DPVM magic, version, then name/shape/f64 records."""
+    """Binary checkpoint: DPVM magic, version, then one record per parameter:
+    u32 name length, UTF-8 name, u32 rank, u32 dims, float64 values."""
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
+        records.write_header(f, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
         for name in store.names():
             value = store.value(name)
             encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", value.ndim))
-            for d in value.shape:
-                f.write(struct.pack("<I", d))
-            f.write(value.astype("<f8").tobytes())
+            f.write(struct.pack("<I", len(encoded)) + encoded)
+            f.write(struct.pack(f"<I{value.ndim}I", value.ndim, *value.shape))
+            records.write_array(f, value)
 
 
 class CheckpointFormatError(ValueError):
     pass
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise CheckpointFormatError(
-            f"truncated checkpoint: expected {n} bytes for {what} at byte offset {f.tell() - len(data)}"
-        )
-    return data
-
-
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     params: dict[str, np.ndarray] = {}
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointFormatError(f"bad magic {magic!r}; not a checkpoint file")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-        while True:
-            head = f.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise CheckpointFormatError(
-                    f"truncated checkpoint: partial name length at byte offset {f.tell() - len(head)}"
-                )
-            (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(f, name_len, "parameter name").decode("utf-8")
-            (ndim,) = struct.unpack("<I", _read_exact(f, 4, f"rank of {name!r}"))
-            shape = tuple(
-                struct.unpack("<I", _read_exact(f, 4, f"dim of {name!r}"))[0] for _ in range(ndim)
-            )
-            count = int(np.prod(shape)) if shape else 1
-            payload = _read_exact(f, 8 * count, f"payload of {name!r}")
+    with records.open_records(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointFormatError, "checkpoint") as r:
+        while not r.at_end():
+            (name_len,) = r.unpack("<I", "name length")
+            at = r.offset
+            try:
+                name = r.read(name_len, "parameter name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointFormatError(f"parameter name at byte offset {at} is not UTF-8") from None
+            (ndim,) = r.unpack("<I", f"rank of {name!r}")
+            shape = r.unpack(f"<{ndim}I", f"shape of {name!r}")
             if name in params:
                 raise CheckpointFormatError(f"duplicate parameter {name!r} in checkpoint")
-            params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+            params[name] = r.array(shape, f"payload of {name!r}")
     return params
 
 

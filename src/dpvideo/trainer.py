@@ -110,7 +110,7 @@ class RunReport:
     wall_time_s: float
 
 
-def _model_config(spec: DatasetSpec, config: TrainConfig) -> ModelConfig:
+def _model_config(spec: DatasetSpec, config: TrainConfig | PretrainConfig) -> ModelConfig:
     return ModelConfig(
         input_dim=spec.feature_dim,
         frames_per_clip=spec.clip_length,
@@ -319,17 +319,7 @@ def pretrain(config: PretrainConfig) -> tuple[Model, float]:
     fine-tune privately.
     """
     spec, videos = load_dataset(config.data)
-    model = build_model(
-        ModelConfig(
-            input_dim=spec.feature_dim,
-            frames_per_clip=spec.clip_length,
-            hidden_dims=tuple(config.hidden_dims),
-            norm_kind=config.norm_kind,
-            norm_groups=config.norm_groups,
-            num_classes=spec.num_classes,
-        ),
-        config.seed,
-    )
+    model = build_model(_model_config(spec, config), config.seed)
     clips = []
     labels = []
     for v in videos:
@@ -357,6 +347,11 @@ def pretrain(config: PretrainConfig) -> tuple[Model, float]:
 
 
 CSV_HEADER = "step,epsilon,loss,accuracy"
+
+
+def csv_row(record: EvalRecord) -> str:
+    """One eval record in CSV_HEADER's column order; floats keep every bit via repr."""
+    return f"{record.step},{record.epsilon!r},{record.loss!r},{record.accuracy!r}"
 
 
 def report_to_dict(report: RunReport) -> dict:
@@ -392,4 +387,4 @@ def write_report(report: RunReport, json_path: str, csv_path: str) -> None:
     with open(csv_path, "w") as f:
         f.write(CSV_HEADER + "\n")
         for r in report.records:
-            f.write(f"{r.step},{r.epsilon!r},{r.loss!r},{r.accuracy!r}\n")
+            f.write(csv_row(r) + "\n")

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -188,4 +190,28 @@ def test_bad_magic_is_rejected(tmp_path):
     path = tmp_path / "junk.dpvd"
     path.write_bytes(b"WHAT" + b"\x00" * 64)
     with pytest.raises(DatasetFormatError, match="bad magic"):
+        load_dataset(str(path))
+
+
+# Byte offsets in a dataset file: 4-byte magic, u32 version, the 53-byte header
+# "<IIIIIdQBQd", then each video's "<QIII" record header (id, label, t, d).
+CLIP_LENGTH_AT = 8 + 12
+FIRST_VIDEO_AT = 8 + 53
+
+
+@pytest.mark.parametrize("offset, fmt, values", [
+    (FIRST_VIDEO_AT + 12, "<II", (0xFFFFFFFF, 0xFFFFFFFF)),  # t = d = 2**32 - 1
+    (FIRST_VIDEO_AT + 8, "<I", (7,)),  # label 7 in a 2-class spec
+    (FIRST_VIDEO_AT + 12, "<II", (2, 6)),  # frames (2, 6) under a (4, 3) spec
+    (CLIP_LENGTH_AT, "<I", (0,)),  # clip_length 0
+], ids=["huge_frames", "label_out_of_range", "frames_off_spec", "zero_clip_length"])
+def test_corrupt_dataset_fails_with_format_error(tmp_path, offset, fmt, values):
+    spec = DatasetSpec(num_classes=2, videos_per_class=2, frames_per_video=4,
+                       clip_length=2, feature_dim=3, noise_std=0.1, seed=2)
+    path = tmp_path / "data.dpvd"
+    save_dataset(str(path), spec, generate_dataset(spec))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into(fmt, blob, offset, *values)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DatasetFormatError, match=r"byte offset \d+|dataset header"):
         load_dataset(str(path))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,28 @@ def test_checkpoint_truncation_reports_offset(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 5])
     with pytest.raises(CheckpointFormatError, match="byte offset"):
+        load_checkpoint(str(path))
+
+
+# The first record of a FIXTURE checkpoint, after the 8-byte magic and version:
+# u32 name length, the 13-byte name "layer0.weight", u32 rank 2, two u32 dims.
+FIRST_NAME_AT = 8 + 4
+FIRST_DIMS_AT = FIRST_NAME_AT + 13 + 4
+
+
+@pytest.mark.parametrize("offset, patch", [
+    (FIRST_DIMS_AT, struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)),  # element count overflows int64
+    (FIRST_NAME_AT, b"\xff"),  # name is not UTF-8
+], ids=["overflowing_dims", "non_utf8_name"])
+def test_corrupt_checkpoint_fails_with_format_error(tmp_path, offset, patch):
+    model = build_model(FIXTURE, seed=21)
+    path = tmp_path / "model.dpvm"
+    save_checkpoint(str(path), model.params)
+    blob = bytearray(path.read_bytes())
+    assert blob[FIRST_NAME_AT : FIRST_NAME_AT + 13] == b"layer0.weight"
+    blob[offset : offset + len(patch)] = patch
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointFormatError, match=r"byte offset \d+"):
         load_checkpoint(str(path))
 
 
