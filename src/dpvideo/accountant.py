@@ -22,10 +22,11 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 ORDER_GRID: tuple[int, ...] = tuple(range(2, 257))
+SIGMA_BRACKET: tuple[float, float] = (0.3, 100.0)  # calibrate_sigma's search range
 
 
 class CalibrationError(ValueError):
-    """Target epsilon unreachable within the sigma search bracket."""
+    """Target epsilon unreachable within SIGMA_BRACKET."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,10 @@ class AccountantState:
     orders: tuple[int, ...] = ORDER_GRID
     rdp_per_step: tuple[float, ...] = field(default=(), compare=False)
 
+    def __post_init__(self):
+        if len(self.rdp_per_step) != len(self.orders):
+            raise ValueError("rdp_per_step must hold one value per order; build states with create()")
+
     @classmethod
     def create(cls, sampling_rate: float, noise_multiplier: float, steps: int = 0) -> AccountantState:
         if steps < 0:
@@ -128,18 +133,17 @@ def calibrate_sigma(
     delta: float,
     sampling_rate: float,
     steps: int,
-    bracket: tuple[float, float] = (0.3, 100.0),
 ) -> float:
     """Smallest-noise sigma whose spend lands in [target*(1-1e-4), target].
 
     Bisection on sigma; the spend is continuous and monotone decreasing in
-    sigma over the bracket.
+    sigma over SIGMA_BRACKET.
     """
     if target_epsilon <= 0:
         raise ValueError("target epsilon must be positive")
     if steps < 1:
         raise ValueError("steps must be positive")
-    lo, hi = bracket
+    lo, hi = SIGMA_BRACKET
 
     def spend(sigma: float) -> float:
         return to_epsilon(AccountantState.create(sampling_rate, sigma, steps), delta)

@@ -4,7 +4,8 @@ Subcommands: generate-data, account, pretrain, train, sweep. Batch use only:
 all randomness flows from explicit seeds, and re-running a command with the
 same flags reproduces the same output files byte for byte.
 
-Exit codes: 0 ok, 1 runtime error, 2 config error, 3 infeasible calibration.
+Exit codes: 0 ok, 1 runtime error, 2 config error (a config file or key that is
+missing, unknown or invalid, or a bad flag value), 3 infeasible calibration.
 Set DPV_LOG={error,info,debug} to control verbosity.
 """
 
@@ -20,7 +21,7 @@ import sys
 from .accountant import AccountantState, CalibrationError, calibrate_sigma
 from .config import ConfigError, load_pretrain_config, load_sweep_lists, load_train_config
 from .data import DatasetSpec, generate_dataset, save_dataset
-from .trainer import RunReport, csv_row, pretrain, report_to_dict, sweep_clips, train, write_report
+from .trainer import CSV_HEADER, RunReport, csv_row, pretrain, sweep_clips, train, write_report
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -150,7 +151,7 @@ def cmd_sweep(args) -> int:
     reports = sweep_clips(config, k_values, seeds, jobs=args.jobs)
     combined = os.path.join(args.out, "sweep.csv")
     with open(combined, "w") as f:
-        f.write("k,seed,step,epsilon,loss,accuracy\n")
+        f.write("k,seed," + CSV_HEADER + "\n")
         for rep in reports:
             base = os.path.join(args.out, f"report_k{rep.clips_per_video}_seed{rep.seed}")
             write_report(rep, base + ".json", base + ".csv")

@@ -1,14 +1,20 @@
 """INI-style experiment configs.
 
-Flat key/value pairs grouped in sections, checked into configs/ so experiment
-setups diff cleanly. Overrides address options as "section.key=value"; a bare
-"key=value" works when the key is unique across sections.
+One table per command maps each "section.key" to the TrainConfig or
+PretrainConfig field it sets and the converter of its text; both commands
+share the [model] keys. An absent or empty key is unset, so its field keeps
+the dataclass default. A key that the command's table does not list, from the
+file or an override, is a config error (exit 2); a train config may also carry
+the [sweep] keys, which sweep reads from the same file. Overrides look like
+"section.key=value"; a bare "key=value" works when the key is unique across
+the file's sections.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
+from dataclasses import MISSING, fields
 
 from .trainer import PretrainConfig, TrainConfig
 
@@ -18,38 +24,85 @@ class ConfigError(ValueError):
 
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ConfigError(f"model.hidden must be a comma-separated list of widths, got {text!r}") from None
+        raise ValueError("must be a comma-separated list of widths") from None
 
 
-def _parse_norm(text: str) -> tuple[str, int]:
-    text = text.strip()
+def _parse_norm(text: str) -> dict:
     if text.startswith("group:"):
         try:
-            return "group", int(text.split(":", 1)[1])
+            return {"norm_kind": "group", "norm_groups": int(text.split(":", 1)[1])}
         except ValueError:
-            raise ConfigError(f"model.norm group count must be an integer, got {text!r}") from None
+            raise ValueError("group count must be an integer") from None
     if text in ("layer", "none"):
-        return text, 1
-    raise ConfigError(f"model.norm must be 'layer', 'none' or 'group:<g>', got {text!r}")
+        return {"norm_kind": text}
+    raise ValueError("must be 'layer', 'none' or 'group:<g>'")
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ConfigError(f"{what} must be a comma-separated list of integers, got {text!r}") from None
+        raise ValueError("must be a comma-separated list of integers") from None
+    if not values:
+        raise ValueError("must list at least one integer")
+    return values
+
+
+def _existing_file(path: str) -> str:
+    if not os.path.exists(path):
+        raise ValueError("no such file")
+    return path
+
+
+# section.key -> (field, converter); with field None the converter returns a dict of fields
+_MODEL_KEYS = {
+    "model.hidden": ("hidden_dims", _parse_hidden),
+    "model.norm": (None, _parse_norm),
+}
+
+TRAIN_KEYS = {
+    "data.train": ("train_data", _existing_file),
+    "data.eval": ("eval_data", _existing_file),
+    **_MODEL_KEYS,
+    "privacy.target_epsilon": ("target_epsilon", float),
+    "privacy.noise_multiplier": ("noise_multiplier", float),
+    "privacy.delta": ("delta", float),
+    "privacy.clip_norm": ("clip_norm", float),
+    "train.scheme": ("scheme", str),
+    "train.bottleneck_dim": ("bottleneck_dim", int),
+    "train.clips_per_video": ("clips_per_video", int),
+    "train.sampling_rate": ("sampling_rate", float),
+    "train.max_epochs": ("max_epochs", float),
+    "train.learning_rate": ("learning_rate", float),
+    "train.seed": ("seed", int),
+    "train.checkpoint": ("checkpoint", _existing_file),
+    "train.eval_every": ("eval_every", int),
+}
+
+SWEEP_KEYS = {
+    "sweep.clips": ("clips", _parse_int_list),
+    "sweep.seeds": ("seeds", _parse_int_list),
+}
+_TRAIN_FILE_KEYS = TRAIN_KEYS.keys() | SWEEP_KEYS.keys()  # sweep reads its lists from the train config
+
+PRETRAIN_KEYS = {
+    "pretrain.data": ("data", _existing_file),
+    "pretrain.out": ("out", str),
+    **_MODEL_KEYS,
+    "pretrain.epochs": ("epochs", int),
+    "pretrain.batch_size": ("batch_size", int),
+    "pretrain.learning_rate": ("learning_rate", float),
+    "pretrain.seed": ("seed", int),
+}
 
 
 class _Resolved:
-    """Parsed config with overrides applied, typed accessors, and an echo."""
+    """Parsed config with overrides applied and typed accessors."""
 
-    def __init__(self, path: str, overrides: list[str] | None = None):
+    def __init__(self, path: str, overrides: list[str] | None, known_keys):
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -66,6 +119,11 @@ class _Resolved:
             if not parser.has_section(section):
                 parser.add_section(section)
             parser.set(section, option, value.strip())
+        # DEFAULT keys show up in every section, so they are checked (and named) first
+        for section in (parser.default_section, *parser.sections()):
+            for option in parser[section]:
+                if f"{section}.{option}" not in known_keys:
+                    raise ConfigError(f"unknown config key {section}.{option}")
 
     def _locate(self, key: str) -> tuple[str, str]:
         if "." in key:
@@ -78,89 +136,46 @@ class _Resolved:
             raise ConfigError(f"override key {key!r} not found in any section; use section.key")
         raise ConfigError(f"override key {key!r} is ambiguous (in sections {homes}); use section.key")
 
-    def get(self, section: str, option: str, default=None, required: bool = False) -> str | None:
-        if self.parser.has_option(section, option):
-            value = self.parser.get(section, option).strip()
-            if value:
-                return value
-        if required:
-            raise ConfigError(f"missing required config key {section}.{option}")
-        return default
+    def get(self, section: str, option: str) -> str | None:
+        """The stripped value, or None when the key is absent or empty."""
+        return self.parser.get(section, option, fallback="").strip() or None
 
-    def get_typed(self, section: str, option: str, kind, default=None, required: bool = False):
-        raw = self.get(section, option, required=required)
-        if raw is None:
-            return default
+    def get_typed(self, section: str, option: str, kind):
+        raw = self.get(section, option)
         try:
-            return kind(raw)
-        except ValueError:
-            raise ConfigError(
-                f"config key {section}.{option} must be of type {kind.__name__}, got {raw!r}"
-            ) from None
+            return None if raw is None else kind(raw)
+        except ValueError as e:
+            raise ConfigError(f"config key {section}.{option} = {raw!r}: {e}") from None
 
 
-def _require_file(path: str, what: str) -> str:
-    if not os.path.exists(path):
-        raise ConfigError(f"{what} does not exist: {path}")
-    return path
+def _read(cfg: _Resolved, table: dict, required) -> dict:
+    """The fields that the table's set keys give; a required field left unset is an error."""
+    values = {}
+    for key, (name, kind) in table.items():
+        value = cfg.get_typed(*key.split("."), kind)
+        if value is not None:
+            values.update(value if name is None else {name: value})
+        elif name in required:
+            raise ConfigError(f"missing required config key {key}")
+    return values
+
+
+def _build(cls, cfg: _Resolved, table: dict):
+    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    try:
+        return cls(**_read(cfg, table, required))
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def load_train_config(path: str, overrides: list[str] | None = None) -> TrainConfig:
-    cfg = _Resolved(path, overrides)
-    norm_kind, norm_groups = _parse_norm(cfg.get("model", "norm", default="layer"))
-    checkpoint = cfg.get("train", "checkpoint")
-    if checkpoint is not None:
-        _require_file(checkpoint, "checkpoint")
-    try:
-        return TrainConfig(
-            train_data=_require_file(cfg.get("data", "train", required=True), "train dataset"),
-            eval_data=_require_file(cfg.get("data", "eval", required=True), "eval dataset"),
-            hidden_dims=_parse_hidden(cfg.get("model", "hidden", default="")),
-            norm_kind=norm_kind,
-            norm_groups=norm_groups,
-            scheme=cfg.get("train", "scheme", default="full"),
-            bottleneck_dim=cfg.get_typed("train", "bottleneck_dim", int),
-            clips_per_video=cfg.get_typed("train", "clips_per_video", int, default=1),
-            target_epsilon=cfg.get_typed("privacy", "target_epsilon", float),
-            noise_multiplier=cfg.get_typed("privacy", "noise_multiplier", float),
-            delta=cfg.get_typed("privacy", "delta", float, default=1e-5),
-            clip_norm=cfg.get_typed("privacy", "clip_norm", float, default=1.0),
-            sampling_rate=cfg.get_typed("train", "sampling_rate", float, default=0.05),
-            max_epochs=cfg.get_typed("train", "max_epochs", float, default=10.0),
-            learning_rate=cfg.get_typed("train", "learning_rate", float, default=0.1),
-            seed=cfg.get_typed("train", "seed", int, default=0),
-            checkpoint=checkpoint,
-            eval_every=cfg.get_typed("train", "eval_every", int, default=50),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    return _build(TrainConfig, _Resolved(path, overrides, _TRAIN_FILE_KEYS), TRAIN_KEYS)
 
 
 def load_sweep_lists(path: str, overrides: list[str] | None = None) -> tuple[list[int], list[int] | None]:
-    cfg = _Resolved(path, overrides)
-    clips_raw = cfg.get("sweep", "clips", required=True)
-    seeds_raw = cfg.get("sweep", "seeds")
-    clips = _parse_int_list(clips_raw, "sweep.clips")
-    if not clips:
-        raise ConfigError("sweep.clips must list at least one clip count")
-    seeds = _parse_int_list(seeds_raw, "sweep.seeds") if seeds_raw else None
-    return clips, seeds
+    values = _read(_Resolved(path, overrides, _TRAIN_FILE_KEYS), SWEEP_KEYS, required={"clips"})
+    return values["clips"], values.get("seeds")
 
 
 def load_pretrain_config(path: str, overrides: list[str] | None = None) -> PretrainConfig:
-    cfg = _Resolved(path, overrides)
-    norm_kind, norm_groups = _parse_norm(cfg.get("model", "norm", default="layer"))
-    try:
-        return PretrainConfig(
-            data=_require_file(cfg.get("pretrain", "data", required=True), "pretrain dataset"),
-            out=cfg.get("pretrain", "out", required=True),
-            hidden_dims=_parse_hidden(cfg.get("model", "hidden", default="")),
-            norm_kind=norm_kind,
-            norm_groups=norm_groups,
-            epochs=cfg.get_typed("pretrain", "epochs", int, default=10),
-            batch_size=cfg.get_typed("pretrain", "batch_size", int, default=32),
-            learning_rate=cfg.get_typed("pretrain", "learning_rate", float, default=0.1),
-            seed=cfg.get_typed("pretrain", "seed", int, default=0),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    return _build(PretrainConfig, _Resolved(path, overrides, PRETRAIN_KEYS.keys()), PRETRAIN_KEYS)

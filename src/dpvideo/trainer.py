@@ -19,7 +19,7 @@ from . import rng
 from .accountant import AccountantState, calibrate_sigma, to_epsilon
 from .data import DatasetSpec, VideoSample, chunk_video, load_dataset, sample_clips
 from .dp import MultiClipEntry, NoiseConfig, multi_clip_step
-from .finetune import Scheme, apply_scheme
+from .finetune import SCHEME_KINDS, Scheme, apply_scheme
 from .models import (
     AdapterSpec,
     Model,
@@ -39,7 +39,7 @@ log = logging.getLogger(__name__)
 class TrainConfig:
     train_data: str
     eval_data: str
-    hidden_dims: tuple[int, ...]
+    hidden_dims: tuple[int, ...] = ()
     norm_kind: str = "layer"
     norm_groups: int = 1
     scheme: str = "full"
@@ -57,8 +57,6 @@ class TrainConfig:
     eval_every: int = 50
 
     def __post_init__(self):
-        from .finetune import SCHEME_KINDS
-
         if self.scheme not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEME_KINDS}")
         if (self.target_epsilon is None) == (self.noise_multiplier is None):
@@ -232,7 +230,7 @@ def train(config: TrainConfig) -> RunReport:
             raise AssertionError(f"frozen parameter {name!r} changed during training")
 
     return RunReport(
-        config=_echo(config),
+        config=asdict(config),
         scheme=config.scheme,
         clips_per_video=config.clips_per_video,
         seed=config.seed,
@@ -248,12 +246,6 @@ def train(config: TrainConfig) -> RunReport:
         expected_batch_size=q * len(train_videos),
         wall_time_s=time.perf_counter() - started,
     )
-
-
-def _echo(config: TrainConfig) -> dict:
-    echo = asdict(config)
-    echo["hidden_dims"] = list(config.hidden_dims)
-    return echo
 
 
 def sweep_clips(
@@ -297,7 +289,7 @@ def sweep_clips(
 class PretrainConfig:
     data: str
     out: str
-    hidden_dims: tuple[int, ...]
+    hidden_dims: tuple[int, ...] = ()
     norm_kind: str = "layer"
     norm_groups: int = 1
     epochs: int = 10
@@ -360,22 +352,7 @@ def report_to_dict(report: RunReport) -> dict:
     Wall time is deliberately left out so that identical configs produce
     byte-identical report files.
     """
-    return {
-        "config": report.config,
-        "scheme": report.scheme,
-        "clips_per_video": report.clips_per_video,
-        "seed": report.seed,
-        "trainable_params": report.trainable_params,
-        "records": [asdict(r) for r in report.records],
-        "final_epsilon": report.final_epsilon,
-        "delta": report.delta,
-        "noise_multiplier": report.noise_multiplier,
-        "sampling_rate": report.sampling_rate,
-        "steps": report.steps,
-        "best_order": report.best_order,
-        "final_accuracy": report.final_accuracy,
-        "expected_batch_size": report.expected_batch_size,
-    }
+    return {name: value for name, value in asdict(report).items() if name != "wall_time_s"}
 
 
 def write_report(report: RunReport, json_path: str, csv_path: str) -> None:

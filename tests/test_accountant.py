@@ -208,6 +208,17 @@ def test_rdp_per_step_depends_only_on_q_and_sigma():
     assert a.orders == tuple(range(2, 257))
 
 
+def test_state_without_a_value_per_order_is_rejected():
+    # built directly, the state would have no curve: epsilon inf, yet equal to create()'s
+    with pytest.raises(ValueError, match="rdp_per_step"):
+        AccountantState(0.1, 1.0, 5)
+    with pytest.raises(ValueError, match="rdp_per_step"):
+        AccountantState(0.1, 1.0, 5, rdp_per_step=(0.5,) * 3)
+    state = AccountantState.create(0.1, 1.0, 5)
+    assert to_epsilon(state, 1e-5) == pytest.approx(3.5276, abs=1e-4)
+    assert state.advance(2).rdp_per_step == state.rdp_per_step
+
+
 def test_negative_steps_rejected():
     state = AccountantState.create(0.2, 1.3)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +33,7 @@ class TestGenerateData:
         _, out_a, _ = run_cli(capsys, "generate-data", *GEN_FLAGS, "--seed", "5", "--out", a)
         _, out_b, _ = run_cli(capsys, "generate-data", *GEN_FLAGS, "--seed", "5", "--out", b)
         assert out_a.split()[0] == out_b.split()[0]
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_nondividing_clip_length_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -140,10 +141,10 @@ class TestTrain:
                                   "--out", out_dir)
         assert code == 0
         assert "accuracy@epsilon:" in stdout
-        report = json.loads(open(os.path.join(out_dir, "report.json")).read())
+        report = json.loads(Path(out_dir, "report.json").read_text())
         assert report["config"]["seed"] == 0
         assert 0.99 * 4.0 < report["final_epsilon"] <= 4.0
-        lines = open(os.path.join(out_dir, "report.csv")).read().splitlines()
+        lines = Path(out_dir, "report.csv").read_text().splitlines()
         assert lines[0] == "step,epsilon,loss,accuracy"
         assert len(lines) == len(report["records"]) + 1
 
@@ -152,15 +153,15 @@ class TestTrain:
         assert run_cli(capsys, "train", "--config", experiment["config"], "--out", a)[0] == 0
         assert run_cli(capsys, "train", "--config", experiment["config"], "--out", b)[0] == 0
         for name in ("report.json", "report.csv"):
-            assert open(os.path.join(a, name), "rb").read() == open(os.path.join(b, name), "rb").read()
+            assert Path(a, name).read_bytes() == Path(b, name).read_bytes()
 
     def test_override_changes_only_the_seed_in_the_echo(self, capsys, experiment, tmp_path):
         base_dir, over_dir = str(tmp_path / "base"), str(tmp_path / "over")
         assert run_cli(capsys, "train", "--config", experiment["config"], "--out", base_dir)[0] == 0
         assert run_cli(capsys, "train", "--config", experiment["config"],
                        "--override", "seed=7", "--out", over_dir)[0] == 0
-        base = json.loads(open(os.path.join(base_dir, "report.json")).read())["config"]
-        over = json.loads(open(os.path.join(over_dir, "report.json")).read())["config"]
+        base = json.loads(Path(base_dir, "report.json").read_text())["config"]
+        over = json.loads(Path(over_dir, "report.json").read_text())["config"]
         assert over["seed"] == 7
         diff = {k for k in base if base[k] != over[k]}
         assert diff == {"seed"}
@@ -170,6 +171,26 @@ class TestTrain:
                                "--override", "nonsense=1", "--out", str(tmp_path / "x"))
         assert code == 2
         assert "not found" in err
+
+    @pytest.mark.parametrize("override", ["privacy.target_eps=3", "sweep.clip=4", "data.seed=1"])
+    def test_unknown_override_key_exits_2_with_no_outputs(self, capsys, experiment, tmp_path, override):
+        out_dir = tmp_path / "x"
+        code, _, err = run_cli(capsys, "train", "--config", experiment["config"],
+                               "--override", override, "--out", str(out_dir))
+        assert code == 2
+        assert f"unknown config key {override.split('=')[0]}" in err
+        assert not out_dir.exists()
+
+    def test_unknown_file_key_exits_2_with_no_outputs(self, capsys, experiment, tmp_path):
+        config = tmp_path / "typo.ini"
+        config.write_text(Path(experiment["config"]).read_text().replace(
+            "clip_norm = 1.0", "clip_nrom = 5"))
+        out_dir = tmp_path / "x"
+        for command in ("train", "sweep"):
+            code, _, err = run_cli(capsys, command, "--config", str(config), "--out", str(out_dir))
+            assert code == 2
+            assert "unknown config key privacy.clip_nrom" in err
+            assert not out_dir.exists()
 
     def test_bad_scheme_value_exits_2(self, capsys, experiment, tmp_path):
         code, _, err = run_cli(capsys, "train", "--config", experiment["config"],
@@ -189,9 +210,9 @@ class TestSweep:
         for k in (1, 2):
             assert f"report_k{k}_seed0.json" in files
             assert f"report_k{k}_seed0.csv" in files
-        lines = open(os.path.join(out_dir, "sweep.csv")).read().splitlines()
+        lines = Path(out_dir, "sweep.csv").read_text().splitlines()
         assert lines[0] == "k,seed,step,epsilon,loss,accuracy"
-        report = json.loads(open(os.path.join(out_dir, "report_k1_seed0.json")).read())
+        report = json.loads(Path(out_dir, "report_k1_seed0.json").read_text())
         steps = {int(line.split(",")[2]) for line in lines[1:]}
         assert len(lines) - 1 == 2 * len(report["records"])
         assert stdout.count("accuracy@epsilon:") == 2
@@ -201,7 +222,7 @@ class TestSweep:
         assert run_cli(capsys, "sweep", "--config", experiment["config"], "--out", out_dir)[0] == 0
         eps = set()
         for k in (1, 2):
-            report = json.loads(open(os.path.join(out_dir, f"report_k{k}_seed0.json")).read())
+            report = json.loads(Path(out_dir, f"report_k{k}_seed0.json").read_text())
             eps.add((report["final_epsilon"], report["noise_multiplier"], report["steps"]))
         assert len(eps) == 1
 

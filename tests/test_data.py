@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ def test_dataset_roundtrip_is_bit_exact(tmp_path):
     # byte-level determinism of the writer
     other = str(tmp_path / "again.dpvd")
     save_dataset(other, spec, videos)
-    assert open(path, "rb").read() == open(other, "rb").read()
+    assert Path(path).read_bytes() == Path(other).read_bytes()
 
 
 def test_empty_dataset_roundtrip(tmp_path):
