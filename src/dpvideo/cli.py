@@ -5,7 +5,8 @@ all randomness flows from explicit seeds, and re-running a command with the
 same flags reproduces the same output files byte for byte.
 
 Exit codes: 0 ok, 1 runtime error, 2 config error (a config file or key that is
-missing, unknown or invalid, or a bad flag value), 3 infeasible calibration.
+missing, unknown or invalid, or a bad flag value, such as account with a target
+epsilon and fewer than one step), 3 infeasible calibration.
 Set DPV_LOG={error,info,debug} to control verbosity.
 """
 
@@ -104,7 +105,7 @@ def cmd_account(args) -> int:
             if sigma <= 0:
                 raise ConfigError("--sigma must be positive")
         else:
-            sigma = calibrate_sigma(args.target_eps, args.delta, args.q, max(args.steps, 1))
+            sigma = calibrate_sigma(args.target_eps, args.delta, args.q, args.steps)
         state = AccountantState.create(args.q, sigma, steps=args.steps)
         epsilon, best_order = state.epsilon_with_order(args.delta)
     except CalibrationError:

@@ -6,8 +6,8 @@ share the [model] keys. An absent or empty key is unset, so its field keeps
 the dataclass default. A key that the command's table does not list, from the
 file or an override, is a config error (exit 2); a train config may also carry
 the [sweep] keys, which sweep reads from the same file. Overrides look like
-"section.key=value"; a bare "key=value" works when the key is unique across
-the file's sections.
+"section.key=value"; a bare "key=value" names the one key of that name in the
+command's table, whether or not the file has its section.
 """
 
 from __future__ import annotations
@@ -99,6 +99,17 @@ PRETRAIN_KEYS = {
 }
 
 
+def _locate(key: str, known_keys) -> list[str]:
+    """[section, option] of an override key; a bare key is the one table key of that
+    name (bare names are unique within each command's table)."""
+    if "." not in key:
+        homes = [k for k in known_keys if k.split(".", 1)[1] == key]
+        if not homes:
+            raise ConfigError(f"override key {key!r} not found among the command's keys; use section.key")
+        key = homes[0]
+    return key.split(".", 1)
+
+
 class _Resolved:
     """Parsed config with overrides applied and typed accessors."""
 
@@ -115,7 +126,7 @@ class _Resolved:
             if "=" not in item:
                 raise ConfigError(f"override must look like key=value, got {item!r}")
             key, value = item.split("=", 1)
-            section, option = self._locate(key.strip())
+            section, option = _locate(key.strip(), known_keys)
             if not parser.has_section(section):
                 parser.add_section(section)
             parser.set(section, option, value.strip())
@@ -124,17 +135,6 @@ class _Resolved:
             for option in parser[section]:
                 if f"{section}.{option}" not in known_keys:
                     raise ConfigError(f"unknown config key {section}.{option}")
-
-    def _locate(self, key: str) -> tuple[str, str]:
-        if "." in key:
-            section, option = key.split(".", 1)
-            return section, option
-        homes = [s for s in self.parser.sections() if self.parser.has_option(s, key)]
-        if len(homes) == 1:
-            return homes[0], key
-        if not homes:
-            raise ConfigError(f"override key {key!r} not found in any section; use section.key")
-        raise ConfigError(f"override key {key!r} is ambiguous (in sections {homes}); use section.key")
 
     def get(self, section: str, option: str) -> str | None:
         """The stripped value, or None when the key is absent or empty."""

@@ -1,9 +1,12 @@
 """End-to-end private training runs.
 
-A run draws a Poisson subsample of videos each step (matching the accounted
-mechanism), performs a multi-clip private step, advances the accountant, and
-stops when the next step would exceed the privacy budget. Everything is a
-pure function of the config, including the reported metrics.
+A run's privacy schedule is fixed before its first step: sampling rate q,
+exactly ceil(max_epochs / q) steps, and a noise multiplier sigma that is given
+or calibrated so that those steps spend at most the target epsilon. Each step
+is a multi-clip private step on a Poisson subsample of videos (the accounted
+mechanism); an empty draw updates nothing but still costs its step. Each
+reported epsilon is the schedule's spend up to the step it describes.
+Everything is a pure function of the config, including the reported metrics.
 """
 
 from __future__ import annotations
@@ -79,6 +82,8 @@ class TrainConfig:
             raise ValueError("eval_every must be at least 1")
         if self.scheme == "adapter" and self.bottleneck_dim is None:
             raise ValueError("adapter scheme requires bottleneck_dim")
+        if self.scheme == "from_scratch" and self.checkpoint is not None:
+            raise ValueError("from_scratch re-draws every parameter, so it takes no checkpoint")
 
 
 @dataclass
@@ -175,25 +180,22 @@ def train(config: TrainConfig) -> RunReport:
     )
 
     noise_cfg = NoiseConfig(clip_norm=config.clip_norm, noise_multiplier=sigma, seed=config.seed)
-    acct = AccountantState.create(q, sigma)
+    ledger = AccountantState.create(q, sigma)
     records: list[EvalRecord] = []
     recent_losses: list[float] = []
     last_loss = float("nan")
 
-    def record_eval() -> None:
+    def record_eval(steps_done: int) -> None:
         nonlocal last_loss
         if recent_losses:
             last_loss = float(np.mean(recent_losses))
             recent_losses.clear()
         acc = evaluate(model, eval_videos)
-        eps = to_epsilon(acct, config.delta)
-        records.append(EvalRecord(step=acct.steps, epsilon=eps, loss=last_loss, accuracy=acc))
-        log.info("step %d: eps=%.4f loss=%.4f acc=%.4f", acct.steps, eps, last_loss, acc)
+        eps = to_epsilon(ledger.advance(steps_done), config.delta)
+        records.append(EvalRecord(step=steps_done, epsilon=eps, loss=last_loss, accuracy=acc))
+        log.info("step %d: eps=%.4f loss=%.4f acc=%.4f", steps_done, eps, last_loss, acc)
 
     for step in range(total_steps):
-        if config.target_epsilon is not None:
-            if to_epsilon(acct.advance(1), config.delta) > config.target_epsilon:
-                break
         selector = rng.stream(config.seed, rng.POISSON, step)
         mask = selector.random(len(train_videos)) < q
         selected = [v for v, keep in zip(train_videos, mask) if keep]
@@ -208,19 +210,13 @@ def train(config: TrainConfig) -> RunReport:
             ]
             stats = multi_clip_step(batch, model.tape, model.params, noise_cfg, config.learning_rate, step)
             recent_losses.append(stats.mean_loss)
-        # an empty subsample still invokes the mechanism, so it costs a step
-        acct = acct.advance(1)
-        if acct.steps % config.eval_every == 0:
-            record_eval()
+        if (step + 1) % config.eval_every == 0:
+            record_eval(step + 1)
 
-    if not records or records[-1].step != acct.steps:
-        record_eval()
+    if total_steps % config.eval_every:
+        record_eval(total_steps)
 
-    # the spent budget must be reproducible from (q, sigma, steps) alone
-    final_state = AccountantState.create(q, sigma, steps=acct.steps)
-    final_epsilon, best_order = final_state.epsilon_with_order(config.delta)
-    if final_epsilon != to_epsilon(acct, config.delta):
-        raise AssertionError("privacy ledger mismatch: recomputed epsilon differs from tracked value")
+    final_epsilon, best_order = ledger.advance(total_steps).epsilon_with_order(config.delta)
     if config.target_epsilon is not None and final_epsilon > config.target_epsilon + 1e-6:
         raise AssertionError("spent epsilon exceeds the configured target")
 
@@ -240,7 +236,7 @@ def train(config: TrainConfig) -> RunReport:
         delta=config.delta,
         noise_multiplier=sigma,
         sampling_rate=q,
-        steps=acct.steps,
+        steps=total_steps,
         best_order=best_order,
         final_accuracy=records[-1].accuracy,
         expected_batch_size=q * len(train_videos),
@@ -254,10 +250,10 @@ def sweep_clips(
     seeds: list[int] | None = None,
     jobs: int = 1,
 ) -> list[RunReport]:
-    """One run per (k, seed); identical (sigma, steps, epsilon) across k is
-    asserted, since the accountant never sees k. Each run calibrates sigma
-    again, so a sweep of n runs pays n calibrations. Runs are fully
-    independent, so jobs > 1 executes them in separate processes."""
+    """One run per (k, seed). Sigma, steps and epsilon depend only on privacy
+    fields that a sweep does not vary, so their equality across k is asserted.
+    Each run still calibrates sigma, so a sweep of n runs pays n calibrations.
+    Runs are fully independent, so jobs > 1 executes them in separate processes."""
     if not k_values:
         raise ValueError("no clip counts to sweep")
     seeds = [config.seed] if seeds is None else list(seeds)

@@ -134,6 +134,7 @@ def test_criterion_01_clipping_contract():
     _report("1 (clipping contract)", f"[{elapsed:.1f}s]")
 
 
+@pytest.mark.slow
 def test_criterion_02_accountant_vs_integration_oracle():
     started = time.time()
     gen = np.random.default_rng(2)
@@ -156,6 +157,7 @@ def test_criterion_02_accountant_vs_integration_oracle():
     _report("2 (accountant vs oracle)", f"[{elapsed:.1f}s]")
 
 
+@pytest.mark.slow
 def test_criterion_03_budget_stop_and_k_independence(experiment_data):
     started = time.time()
     base = TrainConfig(
@@ -178,6 +180,7 @@ def test_criterion_03_budget_stop_and_k_independence(experiment_data):
             f"[eps={run_k1.final_epsilon:.4f}, {elapsed:.0f}s]")
 
 
+@pytest.mark.slow
 def test_criterion_04_multi_clip_directional_gain(experiment_data):
     started = time.time()
     base = TrainConfig(
@@ -202,6 +205,7 @@ def test_criterion_04_multi_clip_directional_gain(experiment_data):
             f"[means={ {k: round(v, 3) for k, v in means.items()} }, {elapsed:.0f}s]")
 
 
+@pytest.mark.slow
 def test_criterion_05_scheme_ordering_at_small_epsilon(experiment_data, source_checkpoint):
     started = time.time()
     means = {}

@@ -80,6 +80,13 @@ class TestAccount:
         assert code == 3
         assert "achievable range" in err
 
+    def test_target_with_zero_steps_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "account", "--q", "0.1", "--target-eps", "1",
+                                 "--steps", "0", "--delta", "1e-5")
+        assert code == 2
+        assert "steps must be positive" in err
+        assert out == ""
+
     def test_bad_domain_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "account", "--q", "2.0", "--sigma", "1.0",
                                "--steps", "5", "--delta", "1e-5")
@@ -191,6 +198,17 @@ class TestTrain:
             assert code == 2
             assert "unknown config key privacy.clip_nrom" in err
             assert not out_dir.exists()
+
+    def test_from_scratch_with_a_checkpoint_exits_2_with_no_outputs(self, capsys, experiment, tmp_path):
+        # any existing file passes the key's check; the pair itself is the error
+        out_dir = tmp_path / "x"
+        code, _, err = run_cli(capsys, "train", "--config", experiment["config"],
+                               "--override", "train.scheme=from_scratch",
+                               "--override", f"checkpoint={experiment['root'] / 'train.dpvd'}",
+                               "--out", str(out_dir))
+        assert code == 2
+        assert "takes no checkpoint" in err
+        assert not out_dir.exists()
 
     def test_bad_scheme_value_exits_2(self, capsys, experiment, tmp_path):
         code, _, err = run_cli(capsys, "train", "--config", experiment["config"],

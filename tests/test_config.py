@@ -6,6 +6,7 @@ import pytest
 
 from dpvideo.config import (
     PRETRAIN_KEYS,
+    SWEEP_KEYS,
     TRAIN_KEYS,
     ConfigError,
     load_pretrain_config,
@@ -118,3 +119,19 @@ def test_bad_value_names_its_key(files, load, line, message):
     with pytest.raises(ConfigError) as raised:
         load(minimal_train(files, line))
     assert str(raised.value).startswith("config key " + message)
+
+
+def test_bare_override_resolves_against_the_key_table(files):
+    # the file has no [train] section, yet checkpoint and eval_every are train keys
+    loaded = load_train_config(minimal_train(files), [f"checkpoint={files / 'source.dpvd'}",
+                                                      "eval_every=7"])
+    assert (loaded.checkpoint, loaded.eval_every) == (str(files / "source.dpvd"), 7)
+    assert load_sweep_lists(minimal_train(files), ["clips=2,3"]) == ([2, 3], None)
+    with pytest.raises(ConfigError, match="override key 'clips' not found"):
+        load_pretrain_config(write_ini(files / "pre.ini", "[pretrain]\nout = x\n"), ["clips=1"])
+
+
+@pytest.mark.parametrize("keys", [TRAIN_KEYS.keys() | SWEEP_KEYS.keys(), PRETRAIN_KEYS.keys()])
+def test_bare_key_names_are_unique_per_command(keys):
+    bare = [key.split(".", 1)[1] for key in keys]
+    assert len(bare) == len(set(bare))

@@ -78,6 +78,32 @@ def test_budget_stop_contract(datasets):
     assert report.records[-1].step == report.steps
 
 
+@pytest.mark.parametrize("overrides", [
+    {},  # eval_every=3 divides the 6 steps
+    dict(eval_every=4),  # records at 4 and at the final step 6
+    dict(sampling_rate=0.3, max_epochs=1.0, eval_every=2),  # ceil(1/0.3) = 4 steps
+    dict(target_epsilon=None, noise_multiplier=1.3, eval_every=5),
+])
+def test_every_record_reads_one_fixed_schedule(datasets, overrides):
+    config = base_config(datasets, **overrides)
+    report = train(config)
+    q, sigma = config.sampling_rate, report.noise_multiplier
+    total = math.ceil(config.max_epochs / q)
+    assert report.steps == total
+    expected_steps = [s for s in range(1, total + 1) if s % config.eval_every == 0]
+    if expected_steps[-1:] != [total]:
+        expected_steps.append(total)
+    assert [r.step for r in report.records] == expected_steps
+    for record in report.records:
+        fresh = AccountantState.create(q, sigma, record.step)
+        assert record.epsilon == to_epsilon(fresh, config.delta)
+    assert report.records[-1].epsilon == report.final_epsilon
+    if config.target_epsilon is not None:
+        assert report.final_epsilon <= config.target_epsilon
+    else:
+        assert sigma == config.noise_multiplier
+
+
 def test_reported_epsilon_matches_fresh_accounting(datasets):
     report = train(base_config(datasets))
     fresh = AccountantState.create(report.sampling_rate, report.noise_multiplier, report.steps)
