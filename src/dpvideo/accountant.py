@@ -139,8 +139,8 @@ def calibrate_sigma(
     Bisection on sigma; the spend is continuous and monotone decreasing in
     sigma over SIGMA_BRACKET.
     """
-    if target_epsilon <= 0:
-        raise ValueError("target epsilon must be positive")
+    if not 0 < target_epsilon < math.inf:
+        raise ValueError("target epsilon must be positive and finite")
     if steps < 1:
         raise ValueError("steps must be positive")
     lo, hi = SIGMA_BRACKET

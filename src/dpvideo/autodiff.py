@@ -50,6 +50,7 @@ class Tape:
     def __init__(self) -> None:
         self.nodes: list[Node] = []
         self.input_shapes: dict[str, tuple[int, ...]] = {}
+        self.param_shapes: dict[str, tuple[int, ...]] = {}  # in first-declaration order
         self.loss_id: int | None = None
         self.logits_id: int | None = None
 
@@ -66,7 +67,8 @@ class Tape:
         self.input_shapes[name] = tuple(shape)
         return self._push("input", (), name, shape=tuple(shape))
 
-    def param(self, name: str) -> int:
+    def param(self, name: str, shape: tuple[int, ...]) -> int:
+        self.param_shapes.setdefault(name, tuple(shape))
         return self._push("param", (), name)
 
     def matmul(self, a: int, b: int, name: str) -> int:

@@ -6,7 +6,8 @@ same flags reproduces the same output files byte for byte.
 
 Exit codes: 0 ok, 1 runtime error, 2 config error (a config file or key that is
 missing, unknown or invalid, or a bad flag value, such as account with a target
-epsilon and fewer than one step), 3 infeasible calibration.
+epsilon and fewer than one step, or a non-finite number such as nan or inf
+where a setting needs a finite one), 3 infeasible calibration.
 Set DPV_LOG={error,info,debug} to control verbosity.
 """
 
@@ -16,6 +17,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 
@@ -102,8 +104,8 @@ def cmd_account(args) -> int:
     try:
         if args.sigma is not None:
             sigma = args.sigma
-            if sigma <= 0:
-                raise ConfigError("--sigma must be positive")
+            if not 0 < sigma < math.inf:
+                raise ConfigError("--sigma must be positive and finite")
         else:
             sigma = calibrate_sigma(args.target_eps, args.delta, args.q, args.steps)
         state = AccountantState.create(args.q, sigma, steps=args.steps)

@@ -51,6 +51,13 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
+def _parse_clip_counts(text: str) -> list[int]:
+    values = _parse_int_list(text)
+    if min(values) < 1:
+        raise ValueError("every clip count must be at least 1")
+    return values
+
+
 def _existing_file(path: str) -> str:
     if not os.path.exists(path):
         raise ValueError("no such file")
@@ -83,7 +90,7 @@ TRAIN_KEYS = {
 }
 
 SWEEP_KEYS = {
-    "sweep.clips": ("clips", _parse_int_list),
+    "sweep.clips": ("clips", _parse_clip_counts),
     "sweep.seeds": ("seeds", _parse_int_list),
 }
 _TRAIN_FILE_KEYS = TRAIN_KEYS.keys() | SWEEP_KEYS.keys()  # sweep reads its lists from the train config

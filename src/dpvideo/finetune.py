@@ -2,13 +2,15 @@
 
 Clipping operates on the flattened gradient of trainable parameters only, so
 the active scheme decides both what moves and what the privacy mechanism sees.
+from_scratch is full training from the seed's init: it has full's mask and
+takes no checkpoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .models import ParameterStore, reinitialize
+from .models import ParameterStore
 
 SCHEME_KINDS = ("from_scratch", "full", "linear_probe", "selective", "adapter")
 
@@ -16,7 +18,6 @@ SCHEME_KINDS = ("from_scratch", "full", "linear_probe", "selective", "adapter")
 @dataclass(frozen=True)
 class Scheme:
     kind: str
-    bottleneck_dim: int | None = None
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
@@ -35,12 +36,8 @@ def _is_adapter(name: str) -> bool:
     return name.startswith("adapter")
 
 
-def apply_scheme(store: ParameterStore, scheme: Scheme, seed: int = 0) -> ParameterStore:
-    """Set trainable flags for the scheme; idempotent.
-
-    from_scratch additionally re-randomizes all weights (seeded), discarding
-    any loaded pre-trained values.
-    """
+def apply_scheme(store: ParameterStore, scheme: Scheme) -> ParameterStore:
+    """Set trainable flags for the scheme; idempotent."""
     names = store.names()
     if scheme.kind in ("from_scratch", "full"):
         mask = {n: True for n in names}
@@ -59,6 +56,4 @@ def apply_scheme(store: ParameterStore, scheme: Scheme, seed: int = 0) -> Parame
         mask = {n: _is_head(n) or _is_adapter(n) for n in names}
     for name, flag in mask.items():
         store.set_trainable(name, flag)
-    if scheme.kind == "from_scratch":
-        reinitialize(store, seed)
     return store

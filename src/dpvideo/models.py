@@ -5,6 +5,11 @@ A clip of shape (frames_per_clip, input_dim) maps to num_classes logits; a
 stack of K such clips maps to (K, num_classes) logits in one tape walk.
 BatchNorm is deliberately unsupported: batch statistics couple samples, which
 breaks per-sample gradient semantics.
+
+The tape declares each parameter once, with its shape. The store holds the
+parameters in declaration order, with adapters appended after the base
+parameters when they are inserted; that order is the layout of
+pack_gradient's flat vectors and of checkpoints.
 """
 
 from __future__ import annotations
@@ -162,77 +167,68 @@ class Model:
         return logits
 
 
-def reinitialize(store: ParameterStore, seed: int) -> None:
-    """Re-draw every parameter with the standard init, keyed by name pattern.
+def _add_declared(store: ParameterStore, tape: Tape, seed: int) -> None:
+    """Add, in declaration order, each tape parameter the store lacks, drawn
+    with the standard init from a fresh INIT stream of the seed.
 
     Weights ~ N(0, 1/fan_in); biases and norm shifts zero; norm scales one;
     adapter up-projections zero so adapters stay exact identities.
     """
     gen = rng.stream(seed, rng.INIT)
-    for name in store.names():
-        shape = store.value(name).shape
+    for name, shape in tape.param_shapes.items():
+        if name in store:
+            continue
         if name.endswith(".norm.scale"):
-            store.set_value(name, np.ones(shape))
-        elif name.endswith(".up.weight"):
-            store.set_value(name, np.zeros(shape))
-        elif name.endswith(".weight"):
-            fan_in = shape[0]
-            store.set_value(name, gen.standard_normal(shape) / np.sqrt(fan_in))
-        else:  # biases, norm shifts, adapter up biases
-            store.set_value(name, np.zeros(shape))
+            value = np.ones(shape)
+        elif name.endswith(".weight") and not name.endswith(".up.weight"):
+            value = gen.standard_normal(shape) / np.sqrt(shape[0])
+        else:  # biases, norm shifts, adapter up-projections
+            value = np.zeros(shape)
+        store.add(name, value)
 
 
 def _build_tape(config: ModelConfig, adapters: AdapterSpec | None) -> Tape:
     t = Tape()
     x = t.input("clip", (config.frames_per_clip, config.input_dim))
     label = t.input("label", ())
+    width = config.input_dim
     for i, h in enumerate(config.hidden_dims):
-        w = t.param(f"layer{i}.weight")
-        b = t.param(f"layer{i}.bias")
+        w = t.param(f"layer{i}.weight", (width, h))
+        b = t.param(f"layer{i}.bias", (h,))
         x = t.add(t.matmul(x, w, name=f"layer{i}.matmul"), b, name=f"layer{i}.bias_add")
-        if config.norm_kind == "layer":
-            x = t.normalize(x, t.param(f"layer{i}.norm.scale"), t.param(f"layer{i}.norm.shift"),
-                            groups=1, eps=NORM_EPS, name=f"layer{i}.layernorm")
-        elif config.norm_kind == "group":
-            x = t.normalize(x, t.param(f"layer{i}.norm.scale"), t.param(f"layer{i}.norm.shift"),
-                            groups=config.norm_groups, eps=NORM_EPS, name=f"layer{i}.groupnorm")
+        if config.norm_kind != "none":
+            groups = config.norm_groups if config.norm_kind == "group" else 1
+            scale = t.param(f"layer{i}.norm.scale", (h,))
+            shift = t.param(f"layer{i}.norm.shift", (h,))
+            x = t.normalize(x, scale, shift, groups=groups, eps=NORM_EPS,
+                            name=f"layer{i}.{config.norm_kind}norm")
         x = t.relu(x, name=f"layer{i}.relu")
         if adapters is not None:
-            dw = t.param(f"adapter{i}.down.weight")
-            db = t.param(f"adapter{i}.down.bias")
-            uw = t.param(f"adapter{i}.up.weight")
-            ub = t.param(f"adapter{i}.up.bias")
+            r = adapters.bottleneck_dim
+            dw = t.param(f"adapter{i}.down.weight", (h, r))
+            db = t.param(f"adapter{i}.down.bias", (r,))
+            uw = t.param(f"adapter{i}.up.weight", (r, h))
+            ub = t.param(f"adapter{i}.up.bias", (h,))
             hdn = t.relu(t.add(t.matmul(x, dw, name=f"adapter{i}.down"), db,
                                name=f"adapter{i}.down_bias"), name=f"adapter{i}.relu")
             up = t.add(t.matmul(hdn, uw, name=f"adapter{i}.up"), ub, name=f"adapter{i}.up_bias")
             x = t.add(x, up, name=f"adapter{i}.skip")
+        width = h
     pooled = t.mean_pool(x, name="temporal_pool")
-    logits = t.add(t.matmul(pooled, t.param("head.weight"), name="head.matmul"),
-                   t.param("head.bias"), name="head.bias_add")
+    head_w = t.param("head.weight", (width, config.num_classes))
+    head_b = t.param("head.bias", (config.num_classes,))
+    logits = t.add(t.matmul(pooled, head_w, name="head.matmul"), head_b, name="head.bias_add")
     loss = t.softmax_cross_entropy(logits, label, name="loss")
     t.mark_outputs(loss, logits)
     return t
 
 
-def _add_base_params(store: ParameterStore, config: ModelConfig) -> None:
-    width = config.input_dim
-    for i, h in enumerate(config.hidden_dims):
-        store.add(f"layer{i}.weight", np.zeros((width, h)))
-        store.add(f"layer{i}.bias", np.zeros(h))
-        if config.norm_kind != "none":
-            store.add(f"layer{i}.norm.scale", np.zeros(h))
-            store.add(f"layer{i}.norm.shift", np.zeros(h))
-        width = h
-    store.add("head.weight", np.zeros((width, config.num_classes)))
-    store.add("head.bias", np.zeros(config.num_classes))
-
-
 def build_model(config: ModelConfig, seed: int) -> Model:
     """Deterministic model construction: same (config, seed), same bits."""
+    tape = _build_tape(config, None)
     store = ParameterStore()
-    _add_base_params(store, config)
-    reinitialize(store, seed)
-    return Model(config, _build_tape(config, None), store)
+    _add_declared(store, tape, seed)
+    return Model(config, tape, store)
 
 
 def insert_adapters(model: Model, spec: AdapterSpec, seed: int) -> ParameterStore:
@@ -251,15 +247,9 @@ def insert_adapters(model: Model, spec: AdapterSpec, seed: int) -> ParameterStor
             raise ValueError(
                 f"bottleneck_dim {spec.bottleneck_dim} must be smaller than hidden width {h}"
             )
-    gen = rng.stream(seed, rng.INIT)
-    for i, h in enumerate(model.config.hidden_dims):
-        b = spec.bottleneck_dim
-        model.params.add(f"adapter{i}.down.weight", gen.standard_normal((h, b)) / np.sqrt(h))
-        model.params.add(f"adapter{i}.down.bias", np.zeros(b))
-        model.params.add(f"adapter{i}.up.weight", np.zeros((b, h)))
-        model.params.add(f"adapter{i}.up.bias", np.zeros(h))
     model.adapters = spec
     model.tape = _build_tape(model.config, spec)
+    _add_declared(model.params, model.tape, seed)
     return model.params
 
 

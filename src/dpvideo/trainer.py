@@ -64,26 +64,26 @@ class TrainConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEME_KINDS}")
         if (self.target_epsilon is None) == (self.noise_multiplier is None):
             raise ValueError("provide exactly one of target_epsilon and noise_multiplier")
-        if self.target_epsilon is not None and self.target_epsilon <= 0:
-            raise ValueError("target_epsilon must be positive")
-        if self.noise_multiplier is not None and self.noise_multiplier < 0:
-            raise ValueError("noise_multiplier must be non-negative")
+        if self.target_epsilon is not None and not 0 < self.target_epsilon < math.inf:
+            raise ValueError("target_epsilon must be positive and finite")
+        if self.noise_multiplier is not None and not 0 <= self.noise_multiplier < math.inf:
+            raise ValueError("noise_multiplier must be non-negative and finite")
         if self.clips_per_video < 1:
             raise ValueError("clips_per_video must be at least 1")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
+        if not 0 < self.clip_norm < math.inf:
+            raise ValueError("clip_norm must be positive and finite")
         if not 0 < self.sampling_rate <= 1:
             raise ValueError("sampling_rate must lie in (0, 1]")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if self.max_epochs <= 0 or self.learning_rate <= 0:
-            raise ValueError("max_epochs and learning_rate must be positive")
+        if not (0 < self.max_epochs < math.inf and 0 < self.learning_rate < math.inf):
+            raise ValueError("max_epochs and learning_rate must be positive and finite")
         if self.eval_every < 1:
             raise ValueError("eval_every must be at least 1")
-        if self.scheme == "adapter" and self.bottleneck_dim is None:
-            raise ValueError("adapter scheme requires bottleneck_dim")
+        if (self.scheme == "adapter") != (self.bottleneck_dim is not None):
+            raise ValueError("the adapter scheme needs bottleneck_dim, and no other scheme takes it")
         if self.scheme == "from_scratch" and self.checkpoint is not None:
-            raise ValueError("from_scratch re-draws every parameter, so it takes no checkpoint")
+            raise ValueError("from_scratch trains from the seed's init, so it takes no checkpoint")
 
 
 @dataclass
@@ -140,7 +140,7 @@ def setup_model(config: TrainConfig, spec: DatasetSpec) -> Model:
         load_into(model.params, load_checkpoint(config.checkpoint))
     if config.scheme == "adapter":
         insert_adapters(model, AdapterSpec(config.bottleneck_dim), config.seed)
-    apply_scheme(model.params, Scheme(config.scheme, config.bottleneck_dim), config.seed)
+    apply_scheme(model.params, Scheme(config.scheme))
     return model
 
 
@@ -296,8 +296,8 @@ class PretrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
 
 
 def pretrain(config: PretrainConfig) -> tuple[Model, float]:

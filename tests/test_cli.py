@@ -210,6 +210,14 @@ class TestTrain:
         assert "takes no checkpoint" in err
         assert not out_dir.exists()
 
+    def test_bottleneck_dim_without_the_adapter_scheme_exits_2_with_no_outputs(self, capsys, experiment, tmp_path):
+        out_dir = tmp_path / "x"
+        code, _, err = run_cli(capsys, "train", "--config", experiment["config"],
+                               "--override", "train.bottleneck_dim=4", "--out", str(out_dir))
+        assert code == 2
+        assert "no other scheme takes it" in err
+        assert not out_dir.exists()
+
     def test_bad_scheme_value_exits_2(self, capsys, experiment, tmp_path):
         code, _, err = run_cli(capsys, "train", "--config", experiment["config"],
                                "--override", "train.scheme=fancy", "--out", str(tmp_path / "x"))
@@ -218,6 +226,14 @@ class TestTrain:
 
 
 class TestSweep:
+    def test_clip_count_below_one_exits_2_with_no_outputs(self, capsys, experiment, tmp_path):
+        out_dir = tmp_path / "x"
+        code, _, err = run_cli(capsys, "sweep", "--config", experiment["config"],
+                               "--override", "sweep.clips=0,1", "--out", str(out_dir))
+        assert code == 2
+        assert "sweep.clips" in err
+        assert not out_dir.exists()
+
     def test_sweep_writes_per_run_and_combined_files(self, capsys, experiment, tmp_path):
         out_dir = str(tmp_path / "sweep")
         code, stdout, _ = run_cli(capsys, "sweep", "--config", experiment["config"],
@@ -243,6 +259,34 @@ class TestSweep:
             report = json.loads(Path(out_dir, f"report_k{k}_seed0.json").read_text())
             eps.add((report["final_epsilon"], report["noise_multiplier"], report["steps"]))
         assert len(eps) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--override", "privacy.target_epsilon=nan"],
+    ["train", "--override", "privacy.target_epsilon=", "--override", "privacy.noise_multiplier=inf"],
+    ["train", "--override", "privacy.clip_norm=inf"],
+    ["train", "--override", "train.max_epochs=inf"],
+    ["train", "--override", "train.learning_rate=nan"],
+    ["pretrain", "--override", "pretrain.learning_rate=nan"],
+    ["account", "--sigma", "inf"],
+    ["account", "--target-eps", "nan"],
+], ids=lambda argv: " ".join(argv))
+def test_non_finite_number_exits_2_with_no_outputs(capsys, experiment, tmp_path, argv):
+    command, *flags = argv
+    out = tmp_path / "out"
+    if command == "train":
+        flags += ["--config", experiment["config"], "--out", str(out)]
+    elif command == "pretrain":
+        config = tmp_path / "pre.ini"
+        config.write_text(f"[pretrain]\ndata = {experiment['root'] / 'train.dpvd'}\nout = {out}\n")
+        flags += ["--config", str(config)]
+    else:
+        flags += ["--q", "0.1", "--steps", "10"]
+    code, stdout, err = run_cli(capsys, command, *flags)
+    assert code == 2
+    assert "finite" in err
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_pretrain_cli_writes_checkpoint(capsys, experiment, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -76,7 +77,7 @@ def test_layernorm_standardizes_before_affine():
     for groups in (1, 2):
         tape = Tape()
         x = tape.input("x", (5, 8))
-        out = tape.normalize(x, tape.param("scale"), tape.param("shift"),
+        out = tape.normalize(x, tape.param("scale", (8,)), tape.param("shift", (8,)),
                              groups=groups, eps=NORM_EPS, name="norm")
         tape.mark_outputs(out, out)
         store = ParameterStore()
@@ -193,6 +194,37 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     for name, value in loaded.items():
         assert np.array_equal(value, model.params.value(name))
         assert value.dtype == np.float64
+
+
+# sha256 of save_checkpoint output, keyed by (has norm, hidden, adapted), taken before
+# the tape declared the parameters; layer and group norm share names and shapes
+CHECKPOINT_DIGESTS = {
+    (True, (), False): "19f6ca934ca523a4686f57cb5a4517763e6a96477d440dbcc42bb6d4c3391a88",
+    (True, (8,), False): "5bd81a5a21b1f8e25329d6d92fbe256a7c4226fe9f45a4e8bfd024289498fa62",
+    (True, (8,), True): "bcb0f0ae649640fe8724bfb5d721b7fc00ecbbb06e4f252f3d129593f1fbf1f9",
+    (True, (8, 6), False): "abbae8c3442616e0bc85b3a7c78717500cb564259eabfe0513436f7c035cfd0c",
+    (True, (8, 6), True): "edaf9a44663b46e4e4e0b9afaa10bf33a12e3b7c74c14a4b2ba752f0ac24742f",
+    (False, (), False): "19f6ca934ca523a4686f57cb5a4517763e6a96477d440dbcc42bb6d4c3391a88",
+    (False, (8,), False): "ddfc705277ac2690142f7c09988ab583a99c49b9a482a50d3cd33a48ea94fcc1",
+    (False, (8,), True): "c8b56bf9b5425577902fac86540e246ec92898783d303ccea461f0db1bc6e962",
+    (False, (8, 6), False): "cf0adf7cd39cf39967fb8732849ac5bc7d92acfc40a616535a841c2426175376",
+    (False, (8, 6), True): "aa08d6b77936762952027a42e1383f4883ddd0df096ec362ca8ecf796281f7f9",
+}
+
+
+@pytest.mark.parametrize("norm", ["layer", "group", "none"])
+@pytest.mark.parametrize("hidden,adapted", [((), False), ((8,), False), ((8,), True),
+                                            ((8, 6), False), ((8, 6), True)])
+def test_constructed_checkpoint_bytes_are_pinned(tmp_path, norm, hidden, adapted):
+    config = ModelConfig(input_dim=5, frames_per_clip=3, hidden_dims=hidden, norm_kind=norm,
+                         norm_groups=2 if norm == "group" else 1, num_classes=4)
+    model = build_model(config, seed=7)
+    if adapted:
+        insert_adapters(model, AdapterSpec(bottleneck_dim=4), seed=11)
+    path = tmp_path / "model.dpvm"
+    save_checkpoint(str(path), model.params)
+    expected = CHECKPOINT_DIGESTS[norm != "none", hidden, adapted]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

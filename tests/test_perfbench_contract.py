@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dpvideo import dp, models
+from dpvideo import dp, finetune, models, trainer
 from dpvideo.data import VideoSample
 
 LAYERS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
@@ -33,8 +33,12 @@ def test_every_traced_point_names_an_attribute_of_its_owner():
 
 
 def test_functions_the_benchmark_checks_call_keep_their_shapes():
-    config = models.ModelConfig(input_dim=3, frames_per_clip=2, hidden_dims=(4,), num_classes=5)
-    model = models.build_model(config, seed=0)
+    # the ModelConfig keywords that perfbench/workloads.py passes
+    config = models.ModelConfig(input_dim=3, frames_per_clip=2, hidden_dims=(4,), norm_kind="layer",
+                                num_classes=5)
+    model = models.build_model(config, 0)
+    # the traced run counts parameters on the store that apply_scheme returns
+    assert trainer.apply_scheme(model.params, finetune.Scheme("full")) is model.params
     gen = np.random.default_rng(0)
     entries = [dp.MultiClipEntry(label=1, clips=[(i, gen.standard_normal((2, 3))) for i in range(k)])
                for k in (1, 3)]

@@ -118,6 +118,14 @@ def test_run_is_deterministic(datasets):
     assert report_to_dict(a) != report_to_dict(c)
 
 
+def test_from_scratch_is_full_training_without_a_checkpoint(datasets):
+    scratch = report_to_dict(train(base_config(datasets, scheme="from_scratch")))
+    full = report_to_dict(train(base_config(datasets, scheme="full")))
+    for report in (scratch, full):
+        del report["scheme"], report["config"]["scheme"]
+    assert scratch == full
+
+
 def test_final_epsilon_is_independent_of_clips_per_video(datasets):
     a = train(base_config(datasets, clips_per_video=1))
     b = train(base_config(datasets, clips_per_video=2))
