@@ -41,21 +41,32 @@ class PrivacyBudget:
             raise ValueError("delta must lie in (0, 1)")
 
 
+def noise_variance(noise_multiplier: float) -> float:
+    """sigma**2 of a positive sigma, as inf when it overflows; a sigma whose
+    square underflows to 0 is rejected, since no divergence of it is finite."""
+    if noise_multiplier <= 0:
+        raise ValueError("noise multiplier must be positive")
+    try:
+        variance = noise_multiplier**2  # not sigma * sigma, which rounds differently
+    except OverflowError:
+        return math.inf
+    if variance == 0.0:
+        raise ValueError(f"noise multiplier {noise_multiplier!r} is too small: its square underflows to 0")
+    return variance
+
+
 def rdp_gaussian(order: float, noise_multiplier: float) -> float:
     """Renyi divergence of the unit-sensitivity Gaussian mechanism: a/(2 sigma^2)."""
     if order <= 1:
         raise ValueError(f"order must exceed 1, got {order}")
-    if noise_multiplier <= 0:
-        raise ValueError("noise multiplier must be positive")
-    return order / (2.0 * noise_multiplier**2)
+    return order / (2.0 * noise_variance(noise_multiplier))
 
 
 def rdp_subsampled_gaussian(sampling_rate: float, noise_multiplier: float, order: int) -> float:
     """Per-step Renyi divergence of the Poisson-subsampled Gaussian mechanism."""
     if not 0 < sampling_rate <= 1:
         raise ValueError(f"sampling rate must lie in (0, 1], got {sampling_rate}")
-    if noise_multiplier <= 0:
-        raise ValueError("noise multiplier must be positive")
+    variance = noise_variance(noise_multiplier)
     if not isinstance(order, (int, np.integer)) or order < 2:
         raise ValueError(f"order must be an integer >= 2, got {order!r}")
     if sampling_rate == 1.0:
@@ -66,7 +77,7 @@ def rdp_subsampled_gaussian(sampling_rate: float, noise_multiplier: float, order
         log_binom
         + k * math.log(sampling_rate)
         + (order - k) * math.log1p(-sampling_rate)
-        + k * (k - 1) / (2.0 * noise_multiplier**2)
+        + k * (k - 1) / (2.0 * variance)
     )
     return float(logsumexp(log_terms)) / (order - 1)
 

@@ -5,13 +5,13 @@ Models declare their graph once; forward/backward walk the record with values
 held in a per-run list, so the tape itself is immutable during a batch and
 safe to share across concurrent per-sample computations.
 
-Shape contract: every value on a walk carries a leading clip axis. An input
-at its declared shape is a lone clip (K = 1); one extra leading axis makes it
-a stack of K clips, so one walk covers a whole video. Each clip is computed
-bit for bit as a lone walk would compute it: parameter adjoints stay per clip
-until backward sums them in clip order, and a vector per clip (the pooled
-features at the head) is multiplied as a stack of gemv products,
-a[:, None, :] @ w, since one (K, H) @ (H, C) gemm rounds differently.
+Shape contract: a walk takes a stack of K >= 1 clips. Every input is (K,) +
+its declared shape, so the label input holds one label per clip, and every
+value on the walk carries the clip axis. Each clip is computed bit for bit as
+a stack of one would compute it: parameter adjoints stay per clip until
+backward sums them in clip order, and a vector per clip (the pooled features
+at the head) is multiplied as a stack of gemv products, a[:, None, :] @ w,
+since one (K, H) @ (H, C) gemm rounds differently.
 
 Primitives: matmul, (broadcasting) add, relu, group/layer normalization,
 temporal mean-pool, softmax cross-entropy.
@@ -114,12 +114,8 @@ def _eval_node(node: Node, values: list, inputs: dict, params: ParameterStore):
             raise KeyError(f"missing input {node.name!r}") from None
         v = np.asarray(v, dtype=np.float64)
         shape = node.meta["shape"]
-        if v.shape == shape:
-            return v[None]  # a lone clip is a stack of one
-        if v.shape[1:] != shape:
-            raise ShapeMismatchError(
-                f"input {node.name!r}: expected shape {shape} or (clips,) + {shape}, got {v.shape}"
-            )
+        if v.ndim == 0 or len(v) < 1 or v.shape[1:] != shape:
+            raise ShapeMismatchError(f"input {node.name!r}: expected shape (clips,) + {shape}, got {v.shape}")
         return v
     if kind == "param":
         return params.value(node.name)
@@ -156,7 +152,9 @@ def _eval_node(node: Node, values: list, inputs: dict, params: ParameterStore):
         logits = a
         if logits.ndim != 2:
             raise ShapeMismatchError(f"node {node.name!r}: expected a logit vector per clip, got shape {logits.shape}")
-        labels = values[node.inputs[1]].astype(np.intp)  # a video's label covers all its clips
+        labels = values[node.inputs[1]].astype(np.intp)
+        if len(labels) != len(logits):
+            raise ShapeMismatchError(f"node {node.name!r}: {len(labels)} labels for {len(logits)} clips")
         if not all(0 <= label < logits.shape[1] for label in labels.tolist()):
             raise ValueError(f"node {node.name!r}: label {labels} out of range for {logits.shape[1]} classes")
         with np.errstate(invalid="ignore"):  # non-finite logits surface as a non-finite loss
@@ -174,16 +172,13 @@ def run_forward(tape: Tape, inputs: dict, params: ParameterStore) -> list:
     return values
 
 
-def forward(tape: Tape, inputs: dict, params: ParameterStore):
-    """Loss and logits of one walk: per clip for a clip stack, a float loss and
-    one logit vector for a lone clip. Deterministic: same inputs, same bits."""
+def forward(tape: Tape, inputs: dict, params: ParameterStore) -> tuple[np.ndarray, np.ndarray]:
+    """Per-clip losses (K,) and logits (K, C) of one walk over a K-clip stack.
+    Deterministic: same inputs, same bits."""
     if tape.loss_id is None or tape.logits_id is None:
         raise ValueError("tape outputs not marked")
     values = run_forward(tape, inputs, params)
-    losses, logits = values[tape.loss_id], values[tape.logits_id]
-    if all(np.shape(inputs[name]) == shape for name, shape in tape.input_shapes.items()):
-        return float(losses[0]), logits[0]
-    return losses, logits
+    return values[tape.loss_id], values[tape.logits_id]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -196,19 +191,18 @@ def backward(
     inputs: dict,
     params: ParameterStore,
     values: list | None = None,
-    adjoint_seed: float = 1.0,
 ) -> dict[str, np.ndarray]:
-    """Gradients of (adjoint_seed * summed clip losses) w.r.t. every parameter node.
+    """Gradients of the summed clip losses of a K-clip stack w.r.t. every parameter node.
 
     Returns a dict name -> gradient array; parameters used at several nodes
-    accumulate. Each clip's gradient is formed as a lone walk would form it,
-    then the clip gradients are summed in clip order. Traversal is a fixed
+    accumulate. Each clip's gradient is formed as a stack of one would form
+    it, then the clip gradients are summed in clip order. Traversal is a fixed
     reverse walk of the record, so repeated calls are bit-identical.
     """
     if values is None:
         values = run_forward(tape, inputs, params)
     adjoints: list = [None] * len(tape.nodes)
-    adjoints[tape.loss_id] = np.full(len(values[tape.loss_id]), np.float64(adjoint_seed))
+    adjoints[tape.loss_id] = np.ones(len(values[tape.loss_id]))
 
     def accumulate(node_id: int, grad: np.ndarray) -> None:
         if adjoints[node_id] is None:
@@ -285,9 +279,10 @@ def per_sample_gradients(
 ) -> tuple[list[np.ndarray], list[float]]:
     """Per-sample gradient vectors for a batch with a leading sample axis.
 
-    A sample is a lone clip or a video's (K, frames, features) clip stack.
-    Each sample is one walk of the tape, so element i is exactly the gradient
-    of sample i's mean clip loss, flattened over the trainable parameters in
+    A sample is a clip stack with one label per clip: batch["clip"] is
+    (samples, K, frames, features) and batch["label"] is (samples, K). Each
+    sample is one walk of the tape, so element i is exactly the gradient of
+    sample i's mean clip loss, flattened over the trainable parameters in
     store order. Also returns the per-clip losses, in sample then clip order.
     """
     arrays = {n: np.asarray(v, dtype=np.float64) for n, v in batch.items()}

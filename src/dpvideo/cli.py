@@ -20,6 +20,7 @@ import logging
 import math
 import os
 import sys
+import time
 
 from .accountant import AccountantState, CalibrationError, calibrate_sigma
 from .config import ConfigError, load_pretrain_config, load_sweep_lists, load_train_config
@@ -139,10 +140,11 @@ def _print_acc_at_eps(report: RunReport) -> None:
 def cmd_train(args) -> int:
     config = load_train_config(args.config, args.override)
     os.makedirs(args.out, exist_ok=True)
+    started = time.perf_counter()
     report = train(config)
+    log.info("wall time: %.1f s", time.perf_counter() - started)
     write_report(report, os.path.join(args.out, "report.json"),
                  os.path.join(args.out, "report.csv"))
-    log.info("wall time: %.1f s", report.wall_time_s)
     _print_acc_at_eps(report)
     return EXIT_OK
 

@@ -98,7 +98,7 @@ def per_video_gradient(
     ordered = sorted(entry.clips, key=lambda pair: pair[0])
     clips = np.stack([c for _, c in ordered])
     grads, losses = per_sample_gradients(
-        tape, {"clip": clips[None], "label": np.array([entry.label], dtype=np.float64)}, store
+        tape, {"clip": clips[None], "label": np.full((1, len(clips)), entry.label, dtype=np.float64)}, store
     )
     return grads[0], losses
 

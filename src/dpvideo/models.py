@@ -1,8 +1,8 @@
 """Small clip classifiers with swappable normalization and insertable adapters.
 
 Architecture: per-frame MLP encoder -> temporal mean-pool -> linear head.
-A clip of shape (frames_per_clip, input_dim) maps to num_classes logits; a
-stack of K such clips maps to (K, num_classes) logits in one tape walk.
+A tape walk maps K clips of shape (frames_per_clip, input_dim), one label
+each, to K losses and (K, num_classes) logits; video_logits is the logits path.
 BatchNorm is deliberately unsupported: batch statistics couple samples, which
 breaks per-sample gradient semantics.
 
@@ -30,6 +30,34 @@ NORM_EPS = 1e-5
 NORM_KINDS = ("layer", "group", "none")
 
 
+def check_model_settings(
+    hidden_dims: tuple[int, ...], norm_kind: str, norm_groups: int, bottleneck_dim: int | None
+) -> None:
+    """Raise ValueError for hidden widths, a norm or an adapter width (None: no
+    adapters) that no model can be built with; these rules need no data."""
+    if any(h < 1 for h in hidden_dims):
+        raise ValueError("hidden widths must be positive")
+    if norm_kind not in NORM_KINDS:
+        raise ValueError(
+            f"unsupported norm kind {norm_kind!r}; batch statistics are not allowed, "
+            f"choose one of {NORM_KINDS}"
+        )
+    if norm_kind == "group":
+        if norm_groups < 1:
+            raise ValueError("norm_groups must be positive")
+        for h in hidden_dims:
+            if h % norm_groups != 0:
+                raise ValueError(f"norm_groups={norm_groups} does not divide hidden width {h}")
+    if bottleneck_dim is not None:
+        if bottleneck_dim < 1:
+            raise ValueError("bottleneck_dim must be positive")
+        if not hidden_dims:
+            raise ValueError("model has no hidden blocks to adapt")
+        for h in hidden_dims:
+            if bottleneck_dim >= h:
+                raise ValueError(f"bottleneck_dim {bottleneck_dim} must be smaller than hidden width {h}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     input_dim: int
@@ -42,30 +70,14 @@ class ModelConfig:
     def __post_init__(self):
         if self.input_dim < 1 or self.frames_per_clip < 1 or self.num_classes < 1:
             raise ValueError("input_dim, frames_per_clip and num_classes must be positive")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden widths must be positive")
-        if self.norm_kind not in NORM_KINDS:
-            raise ValueError(
-                f"unsupported norm kind {self.norm_kind!r}; batch statistics are not allowed, "
-                f"choose one of {NORM_KINDS}"
-            )
-        if self.norm_kind == "group":
-            if self.norm_groups < 1:
-                raise ValueError("norm_groups must be positive")
-            for h in self.hidden_dims:
-                if h % self.norm_groups != 0:
-                    raise ValueError(f"norm_groups={self.norm_groups} does not divide hidden width {h}")
+        check_model_settings(self.hidden_dims, self.norm_kind, self.norm_groups, None)
 
 
 @dataclass(frozen=True)
 class AdapterSpec:
-    """Bottleneck MLP with a skip connection, inserted after each hidden block."""
+    """Bottleneck MLP with a skip connection after each hidden block; insert_adapters checks its width."""
 
     bottleneck_dim: int
-
-    def __post_init__(self):
-        if self.bottleneck_dim < 1:
-            raise ValueError("bottleneck_dim must be positive")
 
 
 @dataclass
@@ -161,11 +173,6 @@ class Model:
     params: ParameterStore
     adapters: AdapterSpec | None = None
 
-    def clip_logits(self, clip: np.ndarray) -> np.ndarray:
-        # label value is irrelevant for logits; 0 is always in range
-        _, logits = forward(self.tape, {"clip": clip, "label": 0}, self.params)
-        return logits
-
 
 def _add_declared(store: ParameterStore, tape: Tape, seed: int) -> None:
     """Add, in declaration order, each tape parameter the store lacks, drawn
@@ -240,13 +247,7 @@ def insert_adapters(model: Model, spec: AdapterSpec, seed: int) -> ParameterStor
     """
     if model.adapters is not None:
         raise ValueError("adapters already inserted")
-    if not model.config.hidden_dims:
-        raise ValueError("model has no hidden blocks to adapt")
-    for h in model.config.hidden_dims:
-        if spec.bottleneck_dim >= h:
-            raise ValueError(
-                f"bottleneck_dim {spec.bottleneck_dim} must be smaller than hidden width {h}"
-            )
+    check_model_settings(model.config.hidden_dims, model.config.norm_kind, model.config.norm_groups, spec.bottleneck_dim)
     model.adapters = spec
     model.tape = _build_tape(model.config, spec)
     _add_declared(model.params, model.tape, seed)
@@ -261,7 +262,8 @@ def predict_video(model: Model, video: VideoSample) -> int:
 def video_logits(model: Model, video: VideoSample) -> np.ndarray:
     """Clip logits averaged over all of the video's clips, summed in clip order."""
     clips = np.stack(chunk_video(video, model.config.frames_per_clip))
-    _, logits = forward(model.tape, {"clip": clips, "label": 0}, model.params)
+    # label values do not reach the logits; 0 is always in range
+    _, logits = forward(model.tape, {"clip": clips, "label": np.zeros(len(clips))}, model.params)
     return logits.sum(axis=0) / len(clips)
 
 

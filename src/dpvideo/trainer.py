@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import rng
-from .accountant import AccountantState, calibrate_sigma, to_epsilon
+from .accountant import AccountantState, calibrate_sigma, noise_variance, to_epsilon
 from .data import DatasetSpec, VideoSample, chunk_video, load_dataset, sample_clips
 from .dp import MultiClipEntry, NoiseConfig, multi_clip_step
 from .finetune import SCHEME_KINDS, Scheme, apply_scheme
@@ -28,6 +27,7 @@ from .models import (
     Model,
     ModelConfig,
     build_model,
+    check_model_settings,
     insert_adapters,
     load_checkpoint,
     load_into,
@@ -68,6 +68,8 @@ class TrainConfig:
             raise ValueError("target_epsilon must be positive and finite")
         if self.noise_multiplier is not None and not 0 <= self.noise_multiplier < math.inf:
             raise ValueError("noise_multiplier must be non-negative and finite")
+        if self.noise_multiplier:
+            noise_variance(self.noise_multiplier)  # rejects a sigma whose square underflows
         if self.clips_per_video < 1:
             raise ValueError("clips_per_video must be at least 1")
         if not 0 < self.clip_norm < math.inf:
@@ -84,6 +86,9 @@ class TrainConfig:
             raise ValueError("the adapter scheme needs bottleneck_dim, and no other scheme takes it")
         if self.scheme == "from_scratch" and self.checkpoint is not None:
             raise ValueError("from_scratch trains from the seed's init, so it takes no checkpoint")
+        check_model_settings(self.hidden_dims, self.norm_kind, self.norm_groups, self.bottleneck_dim)
+        if self.scheme == "selective" and (self.norm_kind == "none" or not self.hidden_dims):
+            raise ValueError("selective fine-tuning trains normalization layers, but this model has none")
 
 
 @dataclass
@@ -110,7 +115,6 @@ class RunReport:
     best_order: int
     final_accuracy: float
     expected_batch_size: float
-    wall_time_s: float
 
 
 def _model_config(spec: DatasetSpec, config: TrainConfig | PretrainConfig) -> ModelConfig:
@@ -153,7 +157,6 @@ def evaluate(model: Model, videos: list[VideoSample]) -> float:
 
 
 def train(config: TrainConfig) -> RunReport:
-    started = time.perf_counter()
     train_spec, train_videos = load_dataset(config.train_data)
     eval_spec, eval_videos = load_dataset(config.eval_data)
     _check_compatible(train_spec, eval_spec)
@@ -240,7 +243,6 @@ def train(config: TrainConfig) -> RunReport:
         best_order=best_order,
         final_accuracy=records[-1].accuracy,
         expected_batch_size=q * len(train_videos),
-        wall_time_s=time.perf_counter() - started,
     )
 
 
@@ -298,6 +300,7 @@ class PretrainConfig:
             raise ValueError("epochs and batch_size must be positive")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
+        check_model_settings(self.hidden_dims, self.norm_kind, self.norm_groups, None)
 
 
 def pretrain(config: PretrainConfig) -> tuple[Model, float]:
@@ -317,14 +320,14 @@ def pretrain(config: PretrainConfig) -> tuple[Model, float]:
     clips_arr = np.stack(clips)
     labels_arr = np.array(labels, dtype=np.float64)
 
-    from .autodiff import gradient_of_mean_loss  # local to keep module deps flat
+    from .autodiff import gradient_of_mean_loss  # at call time, so a wrapper installed on it sees these calls
 
     for epoch in range(config.epochs):
         order = rng.stream(config.seed, rng.SHUFFLE, epoch).permutation(len(clips))
         for start in range(0, len(clips), config.batch_size):
             idx = order[start : start + config.batch_size]
             grad = gradient_of_mean_loss(
-                model.tape, {"clip": clips_arr[idx], "label": labels_arr[idx]}, model.params
+                model.tape, {"clip": clips_arr[idx, None], "label": labels_arr[idx, None]}, model.params
             )
             model.params.apply_delta(-config.learning_rate * grad)
         log.info("pretrain epoch %d/%d done", epoch + 1, config.epochs)
@@ -343,12 +346,9 @@ def csv_row(record: EvalRecord) -> str:
 
 
 def report_to_dict(report: RunReport) -> dict:
-    """JSON-ready view of a report.
-
-    Wall time is deliberately left out so that identical configs produce
-    byte-identical report files.
-    """
-    return {name: value for name, value in asdict(report).items() if name != "wall_time_s"}
+    """JSON-ready view of a report. A report holds no timings, so identical
+    configs produce byte-identical report files."""
+    return asdict(report)
 
 
 def write_report(report: RunReport, json_path: str, csv_path: str) -> None:

@@ -20,15 +20,16 @@ from dpvideo.models import ParameterStore
 def finite_difference(
     tape: Tape, inputs: dict, params: ParameterStore, name: str, index: tuple, h: float = 1e-5
 ) -> float:
-    """Central difference (f(p+h) - f(p-h)) / 2h for one parameter coordinate."""
+    """Central difference (f(p+h) - f(p-h)) / 2h for one parameter coordinate,
+    where f is the summed clip loss of the inputs' clip stack."""
     original = params.value(name).copy()
     bumped = original.copy()
     bumped[index] = original[index] + h
     params.set_value(name, bumped)
-    up, _ = forward(tape, inputs, params)
+    up = float(forward(tape, inputs, params)[0].sum())
     bumped[index] = original[index] - h
     params.set_value(name, bumped)
-    down, _ = forward(tape, inputs, params)
+    down = float(forward(tape, inputs, params)[0].sum())
     params.set_value(name, original)
     return (up - down) / (2.0 * h)
 

@@ -24,9 +24,9 @@ from dpvideo.accountant import (
     to_epsilon,
 )
 from dpvideo.autodiff import backward
-from dpvideo.data import DatasetSpec, generate_dataset, save_dataset
+from dpvideo.data import DatasetSpec, VideoSample, generate_dataset, save_dataset
 from dpvideo.dp import MultiClipEntry, NoiseConfig, clip_gradient, clip_video_gradients, noisy_aggregate
-from dpvideo.models import AdapterSpec, ModelConfig, build_model, insert_adapters
+from dpvideo.models import AdapterSpec, ModelConfig, build_model, insert_adapters, video_logits
 from dpvideo.trainer import PretrainConfig, TrainConfig, pretrain, sweep_clips, train
 from oracles import finite_difference, grad_close, renyi_divergence_quadrature
 
@@ -257,7 +257,7 @@ def test_criterion_06_gradient_correctness_per_layer_type():
     for group, names in groups.items():
         checked = 0
         while checked < 100:
-            inputs = {"clip": gen.standard_normal((3, 6)), "label": int(gen.integers(0, 4))}
+            inputs = {"clip": gen.standard_normal((3, 6))[None], "label": np.array([int(gen.integers(0, 4))])}
             grads = backward(model.tape, inputs, model.params)
             name = str(gen.choice(names))
             value = model.params.value(name)
@@ -279,11 +279,11 @@ def test_criterion_07_adapter_identity_init():
         seed=70,
     )
     gen = np.random.default_rng(71)
-    probes = [gen.standard_normal((4, 12)) for _ in range(1000)]
-    before = [model.clip_logits(p) for p in probes]
+    probes = [VideoSample(id=0, label=0, frames=gen.standard_normal((4, 12))) for _ in range(1000)]
+    before = [video_logits(model, p) for p in probes]
     insert_adapters(model, AdapterSpec(bottleneck_dim=8), seed=70)
     worst = max(
-        float(np.max(np.abs(model.clip_logits(p) - b))) for p, b in zip(probes, before)
+        float(np.max(np.abs(video_logits(model, p) - b))) for p, b in zip(probes, before)
     )
     assert worst < 1e-12
     elapsed = time.time() - started

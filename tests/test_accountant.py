@@ -225,3 +225,21 @@ def test_negative_steps_rejected():
         state.advance(-1)
     with pytest.raises(ValueError):
         AccountantState.create(0.2, 1.3, steps=-2)
+
+
+@pytest.mark.parametrize("q", [0.1, 1.0])
+@pytest.mark.parametrize("sigma", [1e155, 1e200, 1e308])
+def test_sigma_whose_square_overflows_spends_nothing_per_step(q, sigma):
+    # sigma**2 overflows a float; it counts as infinite variance, so every order's
+    # divergence is 0 and epsilon is the conversion term log(1/delta)/(a-1) at a = 256
+    state = AccountantState.create(q, sigma, steps=10)
+    assert max(abs(r) for r in state.rdp_per_step) < 1e-13
+    epsilon, order = state.epsilon_with_order(1e-5)
+    assert order == 256
+    assert epsilon == pytest.approx(math.log(1e5) / 255, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [0.1, 1.0])
+def test_sigma_whose_square_underflows_is_rejected(q):
+    with pytest.raises(ValueError, match="underflows to 0"):
+        AccountantState.create(q, 1e-200)

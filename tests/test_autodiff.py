@@ -31,8 +31,8 @@ def identity_head_model(num_classes: int) -> Model:
 def test_identity_network_returns_input():
     model = identity_head_model(4)
     x = np.array([0.3, -1.2, 2.5, 0.0])
-    _, logits = forward(model.tape, {"clip": x.reshape(1, 4), "label": 0}, model.params)
-    assert np.array_equal(logits, x)
+    _, logits = forward(model.tape, {"clip": x.reshape(1, 1, 4), "label": np.array([0])}, model.params)
+    assert np.array_equal(logits[0], x)
 
 
 def test_zero_weight_head_gives_log_num_classes():
@@ -45,7 +45,7 @@ def test_zero_weight_head_gives_log_num_classes():
         model.params.set_value("head.weight", np.zeros((3, num_classes)))
         model.params.set_value("head.bias", np.zeros(num_classes))
         clip = np.random.default_rng(7).standard_normal((2, 3))
-        loss, _ = forward(model.tape, {"clip": clip, "label": 1}, model.params)
+        (loss,), _ = forward(model.tape, {"clip": clip[None], "label": np.array([1])}, model.params)
         assert loss == pytest.approx(math.log(num_classes), abs=1e-15)
 
 
@@ -63,7 +63,8 @@ def test_two_layer_net_matches_hand_computed_loss():
     model.params.set_value("layer0.bias", np.array([0.5, -0.5]))
     model.params.set_value("head.weight", np.eye(2))
     model.params.set_value("head.bias", np.array([0.25, -0.25]))
-    loss, logits = forward(model.tape, {"clip": np.array([[1.0, 2.0]]), "label": 0}, model.params)
+    (loss,), (logits,) = forward(model.tape, {"clip": np.array([[[1.0, 2.0]]]), "label": np.array([0])},
+                                 model.params)
     assert np.allclose(logits, [2.75, -0.25])
     assert loss == pytest.approx(math.log(1.0 + math.exp(-3.0)), abs=1e-15)
     assert loss == pytest.approx(0.04858735157374206, abs=1e-15)
@@ -74,9 +75,9 @@ def test_forward_is_deterministic():
         ModelConfig(input_dim=5, frames_per_clip=3, hidden_dims=(6,), num_classes=4), seed=3
     )
     clip = np.random.default_rng(0).standard_normal((3, 5))
-    first = forward(model.tape, {"clip": clip, "label": 2}, model.params)
-    second = forward(model.tape, {"clip": clip, "label": 2}, model.params)
-    assert first[0] == second[0]
+    first = forward(model.tape, {"clip": clip[None], "label": np.array([2])}, model.params)
+    second = forward(model.tape, {"clip": clip[None], "label": np.array([2])}, model.params)
+    assert np.array_equal(first[0], second[0])
     assert np.array_equal(first[1], second[1])
 
 
@@ -85,14 +86,22 @@ def test_shape_mismatch_names_the_offending_node():
         ModelConfig(input_dim=5, frames_per_clip=3, hidden_dims=(6,), num_classes=4), seed=3
     )
     with pytest.raises(ShapeMismatchError, match="clip"):
-        forward(model.tape, {"clip": np.zeros((3, 4)), "label": 0}, model.params)
+        forward(model.tape, {"clip": np.zeros((1, 3, 4)), "label": np.array([0])}, model.params)
     model.params.set_value("head.weight", np.zeros((6, 4)))  # fine
     bad = build_model(
         ModelConfig(input_dim=5, frames_per_clip=3, hidden_dims=(6,), num_classes=4), seed=3
     )
     bad.params._params["layer0.weight"].value = np.zeros((4, 6))  # sabotage
     with pytest.raises(ShapeMismatchError, match="layer0.matmul"):
-        forward(bad.tape, {"clip": np.zeros((3, 5)), "label": 0}, bad.params)
+        forward(bad.tape, {"clip": np.zeros((1, 3, 5)), "label": np.array([0])}, bad.params)
+
+
+def test_label_count_must_match_clip_count():
+    model = build_model(
+        ModelConfig(input_dim=5, frames_per_clip=3, hidden_dims=(6,), num_classes=4), seed=3
+    )
+    with pytest.raises(ShapeMismatchError, match="node 'loss': 2 labels for 3 clips"):
+        forward(model.tape, {"clip": np.zeros((3, 3, 5)), "label": np.array([0, 1])}, model.params)
 
 
 def _random_model(gen: np.random.Generator) -> tuple[Model, dict]:
@@ -114,8 +123,8 @@ def _random_model(gen: np.random.Generator) -> tuple[Model, dict]:
         value = model.params.value(name)
         model.params.set_value(name, value + 0.3 * gen.standard_normal(value.shape))
     inputs = {
-        "clip": gen.standard_normal((frames, dim)),
-        "label": int(gen.integers(0, config.num_classes)),
+        "clip": gen.standard_normal((frames, dim))[None],
+        "label": np.array([int(gen.integers(0, config.num_classes))]),
     }
     return model, inputs
 
@@ -143,12 +152,13 @@ def test_per_sample_singleton_matches_lone_run():
     )
     gen = np.random.default_rng(5)
     clip = gen.standard_normal((2, 4))
-    batch = {"clip": clip.reshape(1, 2, 4), "label": np.array([1.0])}
+    batch = {"clip": clip.reshape(1, 1, 2, 4), "label": np.array([[1.0]])}
     grads, losses = per_sample_gradients(model.tape, batch, model.params)
-    lone = model.params.pack_gradient(backward(model.tape, {"clip": clip, "label": 1}, model.params))
+    inputs = {"clip": clip[None], "label": np.array([1])}
+    lone = model.params.pack_gradient(backward(model.tape, inputs, model.params))
     assert len(grads) == 1
     assert np.array_equal(grads[0], lone)
-    loss, _ = forward(model.tape, {"clip": clip, "label": 1}, model.params)
+    (loss,), _ = forward(model.tape, inputs, model.params)
     assert losses[0] == loss
 
 
@@ -159,7 +169,7 @@ def test_duplicated_sample_yields_identical_gradients():
     gen = np.random.default_rng(6)
     clip = gen.standard_normal((2, 4))
     other = gen.standard_normal((2, 4))
-    batch = {"clip": np.stack([clip, other, clip]), "label": np.array([1.0, 0.0, 1.0])}
+    batch = {"clip": np.stack([clip, other, clip])[:, None], "label": np.array([[1.0], [0.0], [1.0]])}
     grads, _ = per_sample_gradients(model.tape, batch, model.params)
     assert np.array_equal(grads[0], grads[2])
     assert not np.array_equal(grads[0], grads[1])
@@ -172,10 +182,10 @@ def test_per_sample_order_matches_batch_order():
     gen = np.random.default_rng(8)
     clips = gen.standard_normal((4, 1, 3))
     labels = np.array([0.0, 1.0, 2.0, 0.0])
-    grads, _ = per_sample_gradients(model.tape, {"clip": clips, "label": labels}, model.params)
+    grads, _ = per_sample_gradients(model.tape, {"clip": clips[:, None], "label": labels[:, None]}, model.params)
     for i in range(4):
         lone = model.params.pack_gradient(
-            backward(model.tape, {"clip": clips[i], "label": int(labels[i])}, model.params)
+            backward(model.tape, {"clip": clips[i, None], "label": labels[i, None]}, model.params)
         )
         assert np.array_equal(grads[i], lone)
 
@@ -189,12 +199,12 @@ def test_sum_of_per_sample_gradients_matches_summed_loss_fd():
     gen = np.random.default_rng(12)
     clips = gen.standard_normal((5, 2, 4))
     labels = np.array([0.0, 1.0, 2.0, 1.0, 0.0])
-    grads, _ = per_sample_gradients(model.tape, {"clip": clips, "label": labels}, model.params)
+    grads, _ = per_sample_gradients(model.tape, {"clip": clips[:, None], "label": labels[:, None]}, model.params)
     total = np.sum(grads, axis=0)
 
     def summed_loss() -> float:
         return sum(
-            forward(model.tape, {"clip": clips[i], "label": int(labels[i])}, model.params)[0]
+            float(forward(model.tape, {"clip": clips[i, None], "label": labels[i, None]}, model.params)[0][0])
             for i in range(5)
         )
 
@@ -228,7 +238,7 @@ def test_mean_gradient_consistency():
         ModelConfig(input_dim=4, frames_per_clip=2, hidden_dims=(6,), num_classes=3), seed=13
     )
     gen = np.random.default_rng(14)
-    batch = {"clip": gen.standard_normal((7, 2, 4)), "label": np.array([0., 1., 2., 0., 1., 2., 0.])}
+    batch = {"clip": gen.standard_normal((7, 1, 2, 4)), "label": np.array([0., 1., 2., 0., 1., 2., 0.])[:, None]}
     grads, _ = per_sample_gradients(model.tape, batch, model.params)
     mean_of_grads = np.mean(np.stack(grads), axis=0)
     grad_of_mean = gradient_of_mean_loss(model.tape, batch, model.params)
@@ -236,32 +246,14 @@ def test_mean_gradient_consistency():
     assert np.linalg.norm(mean_of_grads - grad_of_mean) / denom < 1e-10
 
 
-def test_backward_is_linear_in_the_adjoint_seed():
-    model = build_model(
-        ModelConfig(input_dim=4, frames_per_clip=2, hidden_dims=(6,), num_classes=3), seed=15
-    )
-    gen = np.random.default_rng(16)
-    s1 = {"clip": gen.standard_normal((2, 4)), "label": 1}
-    s2 = {"clip": gen.standard_normal((2, 4)), "label": 2}
-    a, b = 0.7, -1.3
-    g1 = model.params.pack_gradient(backward(model.tape, s1, model.params))
-    g2 = model.params.pack_gradient(backward(model.tape, s2, model.params))
-    ga = model.params.pack_gradient(backward(model.tape, s1, model.params, adjoint_seed=a))
-    gb = model.params.pack_gradient(backward(model.tape, s2, model.params, adjoint_seed=b))
-    combined = ga + gb
-    expected = a * g1 + b * g2
-    denom = max(np.linalg.norm(expected), 1e-30)
-    assert np.linalg.norm(combined - expected) / denom < 1e-10
-
-
 def test_non_finite_loss_identifies_sample():
     model = build_model(
         ModelConfig(input_dim=3, frames_per_clip=1, hidden_dims=(), num_classes=2), seed=4
     )
-    clips = np.zeros((3, 1, 3))
-    clips[2, 0, 0] = np.inf
+    clips = np.zeros((3, 1, 1, 3))
+    clips[2, 0, 0, 0] = np.inf
     with pytest.raises(NonFiniteLossError, match="sample index 2"):
-        per_sample_gradients(model.tape, {"clip": clips, "label": np.zeros(3)}, model.params)
+        per_sample_gradients(model.tape, {"clip": clips, "label": np.zeros((3, 1))}, model.params)
 
 
 def test_batch_must_be_nonempty():
@@ -270,7 +262,7 @@ def test_batch_must_be_nonempty():
     )
     with pytest.raises(ValueError, match="at least one sample"):
         per_sample_gradients(
-            model.tape, {"clip": np.zeros((0, 1, 3)), "label": np.zeros(0)}, model.params
+            model.tape, {"clip": np.zeros((0, 1, 1, 3)), "label": np.zeros((0, 1))}, model.params
         )
 
 
@@ -292,18 +284,21 @@ def test_one_walk_over_a_video_matches_lone_clip_walks_bitwise(norm, adapters, c
 
     total = np.zeros(model.params.count_trainable())
     lone_losses = []
+    lone_logits = []
     for clip in stack:
-        inputs = {"clip": clip, "label": 7}
+        inputs = {"clip": clip[None], "label": np.array([7])}
         total += model.params.pack_gradient(backward(model.tape, inputs, model.params))
-        lone_losses.append(forward(model.tape, inputs, model.params)[0])
+        clip_losses, clip_logits = forward(model.tape, inputs, model.params)
+        lone_losses.extend(clip_losses.tolist())
+        lone_logits.append(clip_logits[0])
     grads, losses = per_sample_gradients(
-        model.tape, {"clip": stack[None], "label": np.array([7.0])}, model.params)
+        model.tape, {"clip": stack[None], "label": np.full((1, clips), 7.0)}, model.params)
     assert np.array_equal(grads[0], total / clips)
     assert losses == lone_losses
 
     logits = np.zeros(10)
-    for clip in stack:
-        logits += model.clip_logits(clip)
+    for clip_logits in lone_logits:
+        logits += clip_logits
     video = VideoSample(id=0, label=7, frames=stack.reshape(clips * 4, 12))
     assert np.array_equal(video_logits(model, video), logits / clips)
     assert predict_video(model, video) == int(np.argmax(video_logits(model, video)))

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -86,6 +88,19 @@ class TestAccount:
         assert code == 2
         assert "steps must be positive" in err
         assert out == ""
+
+    @pytest.mark.parametrize("q, sigma, code", [
+        ("0.1", "1e308", 0), ("1.0", "1e200", 0), ("1.0", "1e-200", 2), ("0.1", "1e-200", 2),
+    ])
+    def test_sigma_at_the_float_limits_gives_finite_epsilon_or_exits_2(self, capsys, q, sigma, code):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, stdout, err = run_cli(capsys, "account", "--q", q, "--sigma", sigma, "--steps", "10")
+        assert got == code
+        if code == 0:
+            assert math.isfinite(json.loads(stdout)["epsilon"])
+        else:
+            assert "underflows to 0" in err and stdout == ""
 
     def test_bad_domain_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "account", "--q", "2.0", "--sigma", "1.0",
@@ -285,6 +300,35 @@ def test_non_finite_number_exits_2_with_no_outputs(capsys, experiment, tmp_path,
     code, stdout, err = run_cli(capsys, command, *flags)
     assert code == 2
     assert "finite" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("train", ["model.norm=group:4"], "does not divide hidden width 6"),
+    ("train", ["model.hidden=0"], "hidden widths must be positive"),
+    ("train", ["train.scheme=selective", "model.norm=none"], "has none"),
+    ("train", ["train.scheme=adapter", "train.bottleneck_dim=0"], "bottleneck_dim must be positive"),
+    ("train", ["train.scheme=adapter", "train.bottleneck_dim=6"], "smaller than hidden width 6"),
+    ("train", ["train.scheme=adapter", "train.bottleneck_dim=4", "model.hidden="], "no hidden blocks"),
+    ("train", ["privacy.target_epsilon=", "privacy.noise_multiplier=1e-200"], "underflows to 0"),
+    ("pretrain", ["model.norm=group:4"], "does not divide hidden width 6"),
+    ("pretrain", ["model.hidden=0"], "hidden widths must be positive"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+def test_setting_no_run_can_use_exits_2_with_no_outputs(capsys, experiment, tmp_path, command, overrides,
+                                                        message):
+    out = tmp_path / "out"
+    if command == "train":
+        config, flags = experiment["config"], ["--out", str(out)]
+    else:
+        config, flags = tmp_path / "pre.ini", []
+        config.write_text(f"[model]\nhidden = 6\nnorm = layer\n\n"
+                          f"[pretrain]\ndata = {experiment['root'] / 'train.dpvd'}\nout = {out}\n")
+    for override in overrides:
+        flags += ["--override", override]
+    code, stdout, err = run_cli(capsys, command, "--config", str(config), *flags)
+    assert code == 2
+    assert message in err
     assert stdout == ""
     assert not out.exists()
 

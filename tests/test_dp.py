@@ -126,7 +126,7 @@ class TestDpSgdStep:
         from dpvideo.autodiff import backward
 
         grad = twin.params.pack_gradient(
-            backward(twin.tape, {"clip": clip, "label": 1}, twin.params)
+            backward(twin.tape, {"clip": clip[None], "label": np.array([1])}, twin.params)
         )
         bound = 2.0 * float(np.linalg.norm(grad))  # comfortably unclipped
         cfg = NoiseConfig(clip_norm=bound, noise_multiplier=0.0, seed=0)
@@ -143,7 +143,7 @@ class TestDpSgdStep:
         from dpvideo.autodiff import backward
 
         grad = twin.params.pack_gradient(
-            backward(twin.tape, {"clip": clip, "label": 2}, twin.params)
+            backward(twin.tape, {"clip": clip[None], "label": np.array([2])}, twin.params)
         )
         half_norm = np.linalg.norm(grad) / 2.0
         cfg = NoiseConfig(clip_norm=half_norm, noise_multiplier=0.0, seed=0)
@@ -182,7 +182,7 @@ class TestMultiClipStep:
         from dpvideo.autodiff import backward
 
         single = model.params.pack_gradient(
-            backward(model.tape, {"clip": clip, "label": 1}, model.params)
+            backward(model.tape, {"clip": clip[None], "label": np.array([1])}, model.params)
         )
         assert np.allclose(avg, single, atol=1e-15)
 
@@ -192,8 +192,8 @@ class TestMultiClipStep:
         c1, c2 = gen.standard_normal((2, 2, 4))
         from dpvideo.autodiff import backward
 
-        g1 = model.params.pack_gradient(backward(model.tape, {"clip": c1, "label": 0}, model.params))
-        g2 = model.params.pack_gradient(backward(model.tape, {"clip": c2, "label": 0}, model.params))
+        g1 = model.params.pack_gradient(backward(model.tape, {"clip": c1[None], "label": np.array([0])}, model.params))
+        g2 = model.params.pack_gradient(backward(model.tape, {"clip": c2[None], "label": np.array([0])}, model.params))
         mean = (g1 + g2) / 2.0
         bound = 2.0 * float(np.linalg.norm(mean))
         before = model.params.snapshot()

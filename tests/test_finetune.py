@@ -104,7 +104,7 @@ def test_gradient_vector_length_tracks_the_scheme():
         model = adapted_model(seed=6)
         apply_scheme(model.params, Scheme(kind))
         grad = model.params.pack_gradient(
-            backward(model.tape, {"clip": clip, "label": 2}, model.params)
+            backward(model.tape, {"clip": clip[None], "label": np.array([2])}, model.params)
         )
         assert grad.size == expected == model.params.count_trainable()
 

@@ -24,6 +24,11 @@ FIXTURE = ModelConfig(input_dim=6, frames_per_clip=4, hidden_dims=(8, 8),
                       norm_kind="layer", num_classes=5)
 
 
+def clip_logits(model: Model, clip: np.ndarray) -> np.ndarray:
+    """Logits of one clip, as video_logits gives them for a video of that one clip."""
+    return video_logits(model, VideoSample(id=0, label=0, frames=clip))
+
+
 def test_bare_head_parameter_count():
     for dim, classes in ((6, 5), (3, 2), (10, 7)):
         config = ModelConfig(input_dim=dim, frames_per_clip=4, hidden_dims=(),
@@ -52,7 +57,7 @@ def test_groupnorm_single_group_equals_layernorm():
     gen = np.random.default_rng(0)
     for _ in range(20):
         clip = gen.standard_normal((4, 6))
-        assert np.array_equal(a.clip_logits(clip), b.clip_logits(clip))
+        assert np.array_equal(clip_logits(a, clip), clip_logits(b, clip))
 
 
 def test_groupnorm_divisibility_is_rejected():
@@ -85,7 +90,7 @@ def test_layernorm_standardizes_before_affine():
         store.add("shift", np.zeros(8))
         for _ in range(50):
             data = 5000.0 * gen.standard_normal((5, 8))
-            values = run_forward(tape, {"x": data}, store)
+            values = run_forward(tape, {"x": data[None]}, store)
             normed = values[out].reshape(5, groups, 8 // groups)
             assert np.max(np.abs(normed.mean(axis=-1))) < 1e-9
             assert np.max(np.abs(normed.var(axis=-1) - 1.0)) < 1e-9
@@ -95,10 +100,10 @@ def test_adapter_insertion_preserves_outputs():
     model = build_model(FIXTURE, seed=3)
     gen = np.random.default_rng(2)
     probes = [gen.standard_normal((4, 6)) for _ in range(1000)]
-    before = [model.clip_logits(p) for p in probes]
+    before = [clip_logits(model, p) for p in probes]
     insert_adapters(model, AdapterSpec(bottleneck_dim=4), seed=3)
     worst = max(
-        float(np.max(np.abs(model.clip_logits(p) - b))) for p, b in zip(probes, before)
+        float(np.max(np.abs(clip_logits(model, p) - b))) for p, b in zip(probes, before)
     )
     assert worst < 1e-12
 
@@ -117,13 +122,13 @@ def test_adapter_step_breaks_identity():
     model = build_model(FIXTURE, seed=3)
     gen = np.random.default_rng(4)
     clip = gen.standard_normal((4, 6))
-    before = model.clip_logits(clip)
+    before = clip_logits(model, clip)
     insert_adapters(model, AdapterSpec(bottleneck_dim=4), seed=3)
     for name in model.params.names():
         model.params.set_trainable(name, name.startswith("adapter"))
-    grads = backward(model.tape, {"clip": clip, "label": 1}, model.params)
+    grads = backward(model.tape, {"clip": clip[None], "label": np.array([1])}, model.params)
     model.params.apply_delta(-0.5 * model.params.pack_gradient(grads))
-    after = model.clip_logits(clip)
+    after = clip_logits(model, clip)
     assert not np.allclose(before, after, atol=1e-9)
 
 
@@ -179,7 +184,7 @@ def test_predict_matches_external_logit_average():
     gen = np.random.default_rng(12)
     frames = gen.standard_normal((12, 6))  # 3 clips of 4 frames
     video = VideoSample(id=0, label=0, frames=frames)
-    expected = np.mean([model.clip_logits(frames[i * 4 : (i + 1) * 4]) for i in range(3)], axis=0)
+    expected = np.mean([clip_logits(model, frames[i * 4 : (i + 1) * 4]) for i in range(3)], axis=0)
     assert predict_video(model, video) == int(np.argmax(expected))
     assert np.allclose(video_logits(model, video), expected)
 

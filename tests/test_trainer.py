@@ -11,6 +11,7 @@ from dpvideo.dp import clip_gradient
 from dpvideo.models import ModelConfig, build_model, load_checkpoint, predict_video, save_checkpoint
 from dpvideo.trainer import (
     PretrainConfig,
+    RunReport,
     TrainConfig,
     evaluate,
     pretrain,
@@ -162,7 +163,7 @@ def test_zero_noise_single_clip_full_batch_matches_plain_clipped_sgd(datasets):
         clipped = []
         for v in videos:
             grad = model.params.pack_gradient(
-                backward(model.tape, {"clip": v.frames, "label": v.label}, model.params)
+                backward(model.tape, {"clip": v.frames[None], "label": np.array([v.label])}, model.params)
             )
             clipped.append(clip_gradient(grad, config.clip_norm))
         total = np.zeros_like(clipped[0])
@@ -323,3 +324,8 @@ def test_pretrain_learns_the_source_task(datasets, tmp_path):
     assert set(ckpt) == set(model.params.names())
     for name, value in ckpt.items():
         assert np.array_equal(value, model.params.value(name))
+
+
+def test_report_to_dict_carries_every_report_field():
+    values = {field.name: index for index, field in enumerate(dataclasses.fields(RunReport))}
+    assert report_to_dict(RunReport(**values)) == values
