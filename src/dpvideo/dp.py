@@ -6,6 +6,8 @@ video's clip stack), then the per-video average is clipped. No cross-video
 mixing happens before clipping, so one video contributes at most clip_norm to
 the aggregate regardless of how many clips it supplied. Clip-level DP-SGD,
 dp_sgd_step, is its k=1 case: every clip is a video of one clip.
+multi_clip_step applies its noisy update to the parameter store and returns
+nothing.
 
 Noise is drawn from a counter-based stream keyed by (seed, step_id), so a
 step's noise never depends on the number of clips per video.
@@ -51,12 +53,6 @@ class MultiClipEntry:
         indices = [i for i, _ in self.clips]
         if len(set(indices)) != len(indices):
             raise ValueError(f"duplicate clip indices in video entry: {sorted(indices)}")
-
-
-@dataclass
-class StepStats:
-    batch_size: int
-    mean_loss: float
 
 
 def clip_gradient(grad: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -123,10 +119,10 @@ def dp_sgd_step(
     cfg: NoiseConfig,
     lr: float,
     step_id: int,
-) -> StepStats:
+) -> None:
     """One clip-level private step: multi_clip_step with every clip its own video."""
     videos = [MultiClipEntry(label=label, clips=[(0, clip)]) for clip, label in batch]
-    return multi_clip_step(videos, tape, store, cfg, lr, step_id)
+    multi_clip_step(videos, tape, store, cfg, lr, step_id)
 
 
 def multi_clip_step(
@@ -136,10 +132,8 @@ def multi_clip_step(
     cfg: NoiseConfig,
     lr: float,
     step_id: int,
-) -> StepStats:
+) -> None:
     """One video-level private step: average clips within each video, then
-    clip per video, noise, descend."""
-    clipped, losses = clip_video_gradients(tape, store, batch, cfg)
-    update = noisy_aggregate(clipped, cfg, step_id)
-    store.apply_delta(-lr * update)
-    return StepStats(batch_size=len(batch), mean_loss=float(np.mean(losses)))
+    clip per video, noise, and descend in place."""
+    clipped, _ = clip_video_gradients(tape, store, batch, cfg)
+    store.apply_delta(-lr * noisy_aggregate(clipped, cfg, step_id))

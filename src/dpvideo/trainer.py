@@ -7,6 +7,10 @@ is a multi-clip private step on a Poisson subsample of videos (the accounted
 mechanism); an empty draw updates nothing but still costs its step. Each
 reported epsilon is the schedule's spend up to the step it describes.
 Everything is a pure function of the config, including the reported metrics.
+
+A report holds public values only: the config, the schedule (q, sigma, steps
+and each epsilon) and the accuracy on the eval set. No statistic of the
+training batches, such as their loss, is reported or logged.
 """
 
 from __future__ import annotations
@@ -95,7 +99,6 @@ class TrainConfig:
 class EvalRecord:
     step: int
     epsilon: float
-    loss: float
     accuracy: float
 
 
@@ -185,18 +188,12 @@ def train(config: TrainConfig) -> RunReport:
     noise_cfg = NoiseConfig(clip_norm=config.clip_norm, noise_multiplier=sigma, seed=config.seed)
     ledger = AccountantState.create(q, sigma)
     records: list[EvalRecord] = []
-    recent_losses: list[float] = []
-    last_loss = float("nan")
 
     def record_eval(steps_done: int) -> None:
-        nonlocal last_loss
-        if recent_losses:
-            last_loss = float(np.mean(recent_losses))
-            recent_losses.clear()
         acc = evaluate(model, eval_videos)
         eps = to_epsilon(ledger.advance(steps_done), config.delta)
-        records.append(EvalRecord(step=steps_done, epsilon=eps, loss=last_loss, accuracy=acc))
-        log.info("step %d: eps=%.4f loss=%.4f acc=%.4f", steps_done, eps, last_loss, acc)
+        records.append(EvalRecord(step=steps_done, epsilon=eps, accuracy=acc))
+        log.info("step %d: eps=%.4f acc=%.4f", steps_done, eps, acc)
 
     for step in range(total_steps):
         selector = rng.stream(config.seed, rng.POISSON, step)
@@ -211,8 +208,7 @@ def train(config: TrainConfig) -> RunReport:
                 )
                 for v in selected
             ]
-            stats = multi_clip_step(batch, model.tape, model.params, noise_cfg, config.learning_rate, step)
-            recent_losses.append(stats.mean_loss)
+            multi_clip_step(batch, model.tape, model.params, noise_cfg, config.learning_rate, step)
         if (step + 1) % config.eval_every == 0:
             record_eval(step + 1)
 
@@ -337,12 +333,12 @@ def pretrain(config: PretrainConfig) -> tuple[Model, float]:
     return model, accuracy
 
 
-CSV_HEADER = "step,epsilon,loss,accuracy"
+CSV_HEADER = "step,epsilon,accuracy"
 
 
 def csv_row(record: EvalRecord) -> str:
     """One eval record in CSV_HEADER's column order; floats keep every bit via repr."""
-    return f"{record.step},{record.epsilon!r},{record.loss!r},{record.accuracy!r}"
+    return f"{record.step},{record.epsilon!r},{record.accuracy!r}"
 
 
 def report_to_dict(report: RunReport) -> dict:

@@ -167,7 +167,7 @@ class TestTrain:
         assert report["config"]["seed"] == 0
         assert 0.99 * 4.0 < report["final_epsilon"] <= 4.0
         lines = Path(out_dir, "report.csv").read_text().splitlines()
-        assert lines[0] == "step,epsilon,loss,accuracy"
+        assert lines[0] == "step,epsilon,accuracy"
         assert len(lines) == len(report["records"]) + 1
 
     def test_rerun_reproduces_identical_files(self, capsys, experiment, tmp_path):
@@ -260,7 +260,7 @@ class TestSweep:
             assert f"report_k{k}_seed0.json" in files
             assert f"report_k{k}_seed0.csv" in files
         lines = Path(out_dir, "sweep.csv").read_text().splitlines()
-        assert lines[0] == "k,seed,step,epsilon,loss,accuracy"
+        assert lines[0] == "k,seed,step,epsilon,accuracy"
         report = json.loads(Path(out_dir, "report_k1_seed0.json").read_text())
         steps = {int(line.split(",")[2]) for line in lines[1:]}
         assert len(lines) - 1 == 2 * len(report["records"])

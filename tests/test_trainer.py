@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dpvideo import dp, rng
 from dpvideo.accountant import AccountantState, to_epsilon
 from dpvideo.autodiff import backward
 from dpvideo.data import DatasetSpec, class_templates, generate_dataset, save_dataset
@@ -182,6 +183,22 @@ def test_empty_poisson_batches_still_cost_steps(datasets):
                          sampling_rate=0.01, max_epochs=0.1, eval_every=100)
     report = train(config)
     assert report.steps == math.ceil(0.1 / 0.01)  # every step accounted, drawn or not
+
+
+def test_report_reads_the_training_videos_only_through_the_noisy_update(datasets, tmp_path, monkeypatch):
+    # with an update that is pure noise, nothing of the training videos may reach the report
+    def noise_only(clipped, cfg, step_id):
+        return rng.standard_normal(cfg.seed, rng.NOISE, step_id, clipped[0].size)
+
+    monkeypatch.setattr(dp, "noisy_aggregate", noise_only)
+    twin = str(tmp_path / "twin.dpvd")
+    twin_spec = dataclasses.replace(TRAIN_SPEC, seed=TRAIN_SPEC.seed + 50, template_seed=TRAIN_SPEC.seed)
+    save_dataset(twin, twin_spec, generate_dataset(twin_spec))
+    reports = [report_to_dict(train(base_config(datasets, train_data=path, clips_per_video=2)))
+               for path in (datasets["train"], twin)]
+    for report in reports:
+        del report["config"]["train_data"]
+    assert reports[0] == reports[1]
 
 
 def test_requesting_more_clips_than_available_fails(datasets):
