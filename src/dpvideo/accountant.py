@@ -73,12 +73,13 @@ def rdp_subsampled_gaussian(sampling_rate: float, noise_multiplier: float, order
         return rdp_gaussian(order, noise_multiplier)
     k = np.arange(order + 1, dtype=np.float64)
     log_binom = gammaln(order + 1) - gammaln(k + 1) - gammaln(order - k + 1)
-    log_terms = (
-        log_binom
-        + k * math.log(sampling_rate)
-        + (order - k) * math.log1p(-sampling_rate)
-        + k * (k - 1) / (2.0 * variance)
-    )
+    with np.errstate(over="ignore"):  # a term that overflows is +inf: the divergence is infinite
+        log_terms = (
+            log_binom
+            + k * math.log(sampling_rate)
+            + (order - k) * math.log1p(-sampling_rate)
+            + k * (k - 1) / (2.0 * variance)
+        )
     return float(logsumexp(log_terms)) / (order - 1)
 
 

@@ -116,13 +116,13 @@ def cmd_account(args) -> int:
     except ValueError as e:
         raise ConfigError(str(e)) from None
     print(json.dumps({
-        "epsilon": epsilon,
+        "epsilon": None if epsilon == math.inf else epsilon,  # JSON has no infinity: null
         "delta": args.delta,
         "sigma": sigma,
         "q": args.q,
         "steps": args.steps,
         "best_order": best_order,
-    }))
+    }, allow_nan=False))
     return EXIT_OK
 
 

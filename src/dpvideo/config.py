@@ -16,6 +16,7 @@ import configparser
 import os
 from dataclasses import MISSING, fields
 
+from . import rng
 from .trainer import PretrainConfig, TrainConfig
 
 
@@ -58,6 +59,13 @@ def _parse_clip_counts(text: str) -> list[int]:
     return values
 
 
+def _parse_seeds(text: str) -> list[int]:
+    values = _parse_int_list(text)
+    for seed in values:
+        rng.check_seed(seed)
+    return values
+
+
 def _existing_file(path: str) -> str:
     if not os.path.exists(path):
         raise ValueError("no such file")
@@ -91,7 +99,7 @@ TRAIN_KEYS = {
 
 SWEEP_KEYS = {
     "sweep.clips": ("clips", _parse_clip_counts),
-    "sweep.seeds": ("seeds", _parse_int_list),
+    "sweep.seeds": ("seeds", _parse_seeds),
 }
 _TRAIN_FILE_KEYS = TRAIN_KEYS.keys() | SWEEP_KEYS.keys()  # sweep reads its lists from the train config
 

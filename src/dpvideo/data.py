@@ -8,6 +8,7 @@ and chunk into consecutive, non-overlapping fixed-length clips.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -45,14 +46,12 @@ class DatasetSpec:
             raise ValueError(
                 f"clip_length {self.clip_length} does not divide frames_per_video {self.frames_per_video}"
             )
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
-        if self.template_jitter < 0:
-            raise ValueError("template_jitter must be non-negative")
-        for name in ("seed", "template_seed"):
-            value = getattr(self, name)
-            if value is not None and not 0 <= value < 2**64:
-                raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
+        for name in ("noise_std", "template_jitter"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        rng.check_seed(self.seed)
+        if self.template_seed is not None:
+            rng.check_seed(self.template_seed, "template_seed")
 
     @property
     def clips_per_video(self) -> int:

@@ -15,6 +15,7 @@ step's noise never depends on the number of clips per video.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,10 @@ class NoiseConfig:
     seed: int
 
     def __post_init__(self):
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
-        if self.noise_multiplier < 0:
-            raise ValueError("noise_multiplier must be non-negative")
+        if not 0 < self.clip_norm < math.inf:
+            raise ValueError("clip_norm must be positive and finite")
+        if not 0 <= self.noise_multiplier < math.inf:
+            raise ValueError("noise_multiplier must be non-negative and finite")
 
 
 @dataclass
@@ -61,8 +62,8 @@ def clip_gradient(grad: np.ndarray, clip_norm: float) -> np.ndarray:
     Gradients already within the bound pass through unchanged (bitwise); the
     zero vector is a fixed point.
     """
-    if clip_norm <= 0:
-        raise ValueError("clip_norm must be positive")
+    if not 0 < clip_norm < math.inf:
+        raise ValueError("clip_norm must be positive and finite")
     norm = float(np.linalg.norm(grad))
     if norm <= clip_norm:
         return grad

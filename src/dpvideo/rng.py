@@ -24,12 +24,19 @@ _MASK64 = (1 << 64) - 1
 _MASK48 = (1 << 48) - 1
 
 
+def check_seed(seed: int, name: str = "seed") -> None:
+    """A seed is an unsigned 64-bit integer, so that distinct seeds key distinct streams."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
+
+
 def stream(seed: int, domain: int, step: int = 0) -> np.random.Generator:
     """Independent generator for (seed, domain, step)."""
+    check_seed(seed)
     if not 0 <= domain < (1 << 16):
         raise ValueError(f"domain tag out of range: {domain}")
     key = np.array(
-        [seed & _MASK64, ((domain << 48) | (step & _MASK48)) & _MASK64],
+        [seed, ((domain << 48) | (step & _MASK48)) & _MASK64],
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))

@@ -86,6 +86,7 @@ class TrainConfig:
             raise ValueError("max_epochs and learning_rate must be positive and finite")
         if self.eval_every < 1:
             raise ValueError("eval_every must be at least 1")
+        rng.check_seed(self.seed)
         if (self.scheme == "adapter") != (self.bottleneck_dim is not None):
             raise ValueError("the adapter scheme needs bottleneck_dim, and no other scheme takes it")
         if self.scheme == "from_scratch" and self.checkpoint is not None:
@@ -296,6 +297,7 @@ class PretrainConfig:
             raise ValueError("epochs and batch_size must be positive")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
+        rng.check_seed(self.seed)
         check_model_settings(self.hidden_dims, self.norm_kind, self.norm_groups, None)
 
 
@@ -341,17 +343,22 @@ def csv_row(record: EvalRecord) -> str:
     return f"{record.step},{record.epsilon!r},{record.accuracy!r}"
 
 
+def _inf_as_null(pairs: list[tuple[str, object]]) -> dict:
+    return {key: None if value == math.inf else value for key, value in pairs}
+
+
 def report_to_dict(report: RunReport) -> dict:
-    """JSON-ready view of a report. A report holds no timings, so identical
-    configs produce byte-identical report files."""
-    return asdict(report)
+    """JSON-ready view of a report. JSON has no infinity, so an infinite epsilon
+    (a noiseless run) is None, written as null. A report holds no timings, so
+    identical configs produce byte-identical report files."""
+    return asdict(report, dict_factory=_inf_as_null)
 
 
 def write_report(report: RunReport, json_path: str, csv_path: str) -> None:
     import json
 
     with open(json_path, "w") as f:
-        json.dump(report_to_dict(report), f, indent=2)
+        json.dump(report_to_dict(report), f, indent=2, allow_nan=False)
         f.write("\n")
     with open(csv_path, "w") as f:
         f.write(CSV_HEADER + "\n")

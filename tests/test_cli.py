@@ -16,6 +16,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """json.loads that fails on the NaN and Infinity tokens, which are not JSON."""
+    def reject(token):
+        raise ValueError(f"{token} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 GEN_FLAGS = ["--classes", "3", "--videos-per-class", "4", "--frames", "8",
              "--clip-len", "4", "--dim", "6", "--noise", "0.3"]
 
@@ -102,6 +110,19 @@ class TestAccount:
         else:
             assert "underflows to 0" in err and stdout == ""
 
+    @pytest.mark.parametrize("q", ["0.1", "1.0"])
+    @pytest.mark.parametrize("sigma", ["1e-155", "1e-153"])
+    def test_epsilon_beyond_the_floats_is_null_and_warns_nothing(self, capsys, q, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, _ = run_cli(capsys, "account", "--q", q, "--sigma", sigma, "--steps", "10")
+        assert code == 0
+        epsilon = strict_json(stdout)["epsilon"]
+        if sigma == "1e-155":  # sigma**2 = 1e-310: the order-2 divergence overflows
+            assert epsilon is None
+        else:
+            assert math.isfinite(epsilon)
+
     def test_bad_domain_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "account", "--q", "2.0", "--sigma", "1.0",
                                "--steps", "5", "--delta", "1e-5")
@@ -169,6 +190,18 @@ class TestTrain:
         lines = Path(out_dir, "report.csv").read_text().splitlines()
         assert lines[0] == "step,epsilon,accuracy"
         assert len(lines) == len(report["records"]) + 1
+
+    def test_noiseless_run_writes_its_infinite_epsilon_as_null(self, capsys, experiment, tmp_path):
+        out_dir = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, _ = run_cli(capsys, "train", "--config", experiment["config"],
+                                 "--override", "privacy.target_epsilon=",
+                                 "--override", "privacy.noise_multiplier=0", "--out", str(out_dir))
+        assert code == 0
+        report = strict_json((out_dir / "report.json").read_text())
+        assert report["final_epsilon"] is None
+        assert [r["epsilon"] for r in report["records"]] == [None] * len(report["records"])
 
     def test_rerun_reproduces_identical_files(self, capsys, experiment, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -285,6 +318,10 @@ class TestSweep:
     ["pretrain", "--override", "pretrain.learning_rate=nan"],
     ["account", "--sigma", "inf"],
     ["account", "--target-eps", "nan"],
+    ["generate-data", "--noise", "nan"],
+    ["generate-data", "--noise", "inf"],
+    ["generate-data", "--template-jitter", "nan"],
+    ["generate-data", "--template-jitter", "inf"],
 ], ids=lambda argv: " ".join(argv))
 def test_non_finite_number_exits_2_with_no_outputs(capsys, experiment, tmp_path, argv):
     command, *flags = argv
@@ -295,6 +332,8 @@ def test_non_finite_number_exits_2_with_no_outputs(capsys, experiment, tmp_path,
         config = tmp_path / "pre.ini"
         config.write_text(f"[pretrain]\ndata = {experiment['root'] / 'train.dpvd'}\nout = {out}\n")
         flags += ["--config", str(config)]
+    elif command == "generate-data":
+        flags = [*GEN_FLAGS, *flags, "--out", str(out)]
     else:
         flags += ["--q", "0.1", "--steps", "10"]
     code, stdout, err = run_cli(capsys, command, *flags)
@@ -302,6 +341,9 @@ def test_non_finite_number_exits_2_with_no_outputs(capsys, experiment, tmp_path,
     assert "finite" in err
     assert stdout == ""
     assert not out.exists()
+
+
+SEED_RANGE = "must lie in [0, 2**64)"
 
 
 @pytest.mark.parametrize("command, overrides, message", [
@@ -314,11 +356,18 @@ def test_non_finite_number_exits_2_with_no_outputs(capsys, experiment, tmp_path,
     ("train", ["privacy.target_epsilon=", "privacy.noise_multiplier=1e-200"], "underflows to 0"),
     ("pretrain", ["model.norm=group:4"], "does not divide hidden width 6"),
     ("pretrain", ["model.hidden=0"], "hidden widths must be positive"),
+    # rng keys its streams by 64-bit seeds, so a seed outside [0, 2**64) would alias another
+    ("train", ["train.seed=18446744073709551616"], SEED_RANGE),
+    ("train", ["train.seed=-1"], SEED_RANGE),
+    ("pretrain", ["pretrain.seed=18446744073709551616"], SEED_RANGE),
+    ("pretrain", ["pretrain.seed=-1"], SEED_RANGE),
+    ("sweep", ["sweep.seeds=0,18446744073709551616"], SEED_RANGE),
+    ("sweep", ["sweep.seeds=-1"], SEED_RANGE),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
 def test_setting_no_run_can_use_exits_2_with_no_outputs(capsys, experiment, tmp_path, command, overrides,
                                                         message):
     out = tmp_path / "out"
-    if command == "train":
+    if command in ("train", "sweep"):
         config, flags = experiment["config"], ["--out", str(out)]
     else:
         config, flags = tmp_path / "pre.ini", []

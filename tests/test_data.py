@@ -197,6 +197,7 @@ def test_bad_magic_is_rejected(tmp_path):
 # Byte offsets in a dataset file: 4-byte magic, u32 version, the 53-byte header
 # "<IIIIIdQBQd", then each video's "<QIII" record header (id, label, t, d).
 CLIP_LENGTH_AT = 8 + 12
+NOISE_STD_AT = 8 + 20
 FIRST_VIDEO_AT = 8 + 53
 
 
@@ -205,7 +206,8 @@ FIRST_VIDEO_AT = 8 + 53
     (FIRST_VIDEO_AT + 8, "<I", (7,)),  # label 7 in a 2-class spec
     (FIRST_VIDEO_AT + 12, "<II", (2, 6)),  # frames (2, 6) under a (4, 3) spec
     (CLIP_LENGTH_AT, "<I", (0,)),  # clip_length 0
-], ids=["huge_frames", "label_out_of_range", "frames_off_spec", "zero_clip_length"])
+    (NOISE_STD_AT, "<d", (float("nan"),)),  # noise_std nan
+], ids=["huge_frames", "label_out_of_range", "frames_off_spec", "zero_clip_length", "nan_noise_std"])
 def test_corrupt_dataset_fails_with_format_error(tmp_path, offset, fmt, values):
     spec = DatasetSpec(num_classes=2, videos_per_class=2, frames_per_video=4,
                        clip_length=2, feature_dim=3, noise_std=0.1, seed=2)

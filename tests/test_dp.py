@@ -57,8 +57,9 @@ class TestClipGradient:
             assert np.allclose(lhs, s * clip_gradient(g, 1.0), rtol=1e-12)
 
     def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            clip_gradient(np.ones(3), 0.0)
+        for bound in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                clip_gradient(np.ones(3), bound)
 
 
 class TestNoisyAggregate:
@@ -236,7 +237,8 @@ class TestMultiClipStep:
 
 
 def test_noise_config_validation():
-    with pytest.raises(ValueError):
-        NoiseConfig(clip_norm=0.0, noise_multiplier=1.0, seed=0)
-    with pytest.raises(ValueError):
-        NoiseConfig(clip_norm=1.0, noise_multiplier=-0.5, seed=0)
+    # a nan sigma would fail the noise branch's test, and the step would release the unnoised mean
+    nan, inf = float("nan"), float("inf")
+    for clip_norm, noise_multiplier in ((0.0, 1.0), (nan, 1.0), (inf, 1.0), (1.0, -0.5), (1.0, nan), (1.0, inf)):
+        with pytest.raises(ValueError):
+            NoiseConfig(clip_norm=clip_norm, noise_multiplier=noise_multiplier, seed=0)
