@@ -5,12 +5,18 @@ as Renyi divergence over a fixed grid of integer orders, composed additively
 across steps, and converted to (epsilon, delta) by minimizing over orders.
 
 For integer order a, the divergence of the sampled mechanism has the exact
-binomial closed form
+binomial closed form (Mironov, Talwar & Zhang, arXiv:1908.10530)
 
     (1/(a-1)) * log( sum_{k=0}^{a} C(a,k) (1-q)^(a-k) q^k exp(k(k-1)/(2 sigma^2)) )
 
 evaluated here in log space to stay finite for large orders or small sigma.
 At q=1 it reduces to the plain Gaussian value a / (2 sigma^2).
+
+The whole curve is one numpy pass over the order grid, ORDER_BLOCK orders at
+a time, so the transient stays a few hundred KiB. The log-sum-exp replays
+scipy.special.logsumexp step for step: every maximum of a row leaves the sum,
+and each order sums only its own a+1 terms, so numpy's pairwise grouping and
+every bit of the curve are those of one logsumexp call per order.
 """
 
 from __future__ import annotations
@@ -19,10 +25,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 ORDER_GRID: tuple[int, ...] = tuple(range(2, 257))
 SIGMA_BRACKET: tuple[float, float] = (0.3, 100.0)  # calibrate_sigma's search range
+ORDER_BLOCK = 32  # orders per pass; a whole-grid pass holds about 2 MiB of temporaries
 
 
 class CalibrationError(ValueError):
@@ -44,7 +51,7 @@ class PrivacyBudget:
 def noise_variance(noise_multiplier: float) -> float:
     """sigma**2 of a positive sigma, as inf when it overflows; a sigma whose
     square underflows to 0 is rejected, since no divergence of it is finite."""
-    if noise_multiplier <= 0:
+    if not noise_multiplier > 0:
         raise ValueError("noise multiplier must be positive")
     try:
         variance = noise_multiplier**2  # not sigma * sigma, which rounds differently
@@ -62,25 +69,46 @@ def rdp_gaussian(order: float, noise_multiplier: float) -> float:
     return order / (2.0 * noise_variance(noise_multiplier))
 
 
-def rdp_subsampled_gaussian(sampling_rate: float, noise_multiplier: float, order: int) -> float:
-    """Per-step Renyi divergence of the Poisson-subsampled Gaussian mechanism."""
+def _check_sampling_rate(sampling_rate: float) -> None:
     if not 0 < sampling_rate <= 1:
         raise ValueError(f"sampling rate must lie in (0, 1], got {sampling_rate}")
+
+
+def _rdp_curve(sampling_rate: float, variance: float, orders: np.ndarray) -> np.ndarray:
+    """Per-step divergence at each of the ascending integer orders (>= 2)."""
+    if sampling_rate == 1.0:
+        with np.errstate(over="ignore"):  # a tiny variance gives an infinite divergence
+            return orders / (2.0 * variance)
+    log_q, log_1mq = math.log(sampling_rate), math.log1p(-sampling_rate)
+    curve = np.empty(len(orders))
+    for start in range(0, len(orders), ORDER_BLOCK):
+        block = orders[start : start + ORDER_BLOCK]
+        a = block[:, None].astype(np.float64)
+        k = np.arange(block[-1] + 1, dtype=np.float64)
+        # past k = a the binomial has a pole: clamping keeps those padding terms finite until they are masked
+        log_binom = gammaln(a + 1) - gammaln(k + 1) - gammaln(np.maximum(a - k, 0.0) + 1)
+        with np.errstate(over="ignore"):  # a term that overflows is +inf: the divergence is infinite
+            terms = log_binom + k * log_q + (a - k) * log_1mq + k * (k - 1) / (2.0 * variance)
+        terms[k > a] = -np.inf
+        # as scipy's logsumexp: every maximum leaves the sum and comes back as log(count)
+        top = terms.max(axis=1, keepdims=True)
+        at_top = terms == top
+        terms[at_top] = -np.inf
+        shifted = np.exp(terms - top)
+        tied = np.count_nonzero(at_top, axis=1).astype(np.float64)
+        # each order sums only its own a+1 terms, so numpy's pairwise grouping is logsumexp's
+        sums = np.array([shifted[r, : n + 1].sum() for r, n in enumerate(block.tolist())]) / tied
+        curve[start : start + len(block)] = (np.log1p(sums) + np.log(tied) + top[:, 0]) / (block - 1)
+    return curve
+
+
+def rdp_subsampled_gaussian(sampling_rate: float, noise_multiplier: float, order: int) -> float:
+    """Per-step Renyi divergence of the Poisson-subsampled Gaussian mechanism."""
+    _check_sampling_rate(sampling_rate)
     variance = noise_variance(noise_multiplier)
     if not isinstance(order, (int, np.integer)) or order < 2:
         raise ValueError(f"order must be an integer >= 2, got {order!r}")
-    if sampling_rate == 1.0:
-        return rdp_gaussian(order, noise_multiplier)
-    k = np.arange(order + 1, dtype=np.float64)
-    log_binom = gammaln(order + 1) - gammaln(k + 1) - gammaln(order - k + 1)
-    with np.errstate(over="ignore"):  # a term that overflows is +inf: the divergence is infinite
-        log_terms = (
-            log_binom
-            + k * math.log(sampling_rate)
-            + (order - k) * math.log1p(-sampling_rate)
-            + k * (k - 1) / (2.0 * variance)
-        )
-    return float(logsumexp(log_terms)) / (order - 1)
+    return float(_rdp_curve(sampling_rate, variance, np.array([order]))[0])
 
 
 @dataclass(frozen=True)
@@ -99,17 +127,14 @@ class AccountantState:
     def create(cls, sampling_rate: float, noise_multiplier: float, steps: int = 0) -> AccountantState:
         if steps < 0:
             raise ValueError("steps must be non-negative")
-        if noise_multiplier < 0:
+        if not noise_multiplier >= 0:
             raise ValueError("noise multiplier must be non-negative")
-        if noise_multiplier == 0.0:
-            # a noiseless mechanism offers no privacy: every order diverges
-            if not 0 < sampling_rate <= 1:
-                raise ValueError(f"sampling rate must lie in (0, 1], got {sampling_rate}")
+        _check_sampling_rate(sampling_rate)
+        if noise_multiplier == 0.0:  # a noiseless mechanism offers no privacy: every order diverges
             per_step = (math.inf,) * len(ORDER_GRID)
         else:
-            per_step = tuple(
-                rdp_subsampled_gaussian(sampling_rate, noise_multiplier, a) for a in ORDER_GRID
-            )
+            variance = noise_variance(noise_multiplier)
+            per_step = tuple(_rdp_curve(sampling_rate, variance, np.array(ORDER_GRID)).tolist())
         return cls(sampling_rate, noise_multiplier, steps, ORDER_GRID, per_step)
 
     def advance(self, steps: int = 1) -> AccountantState:
@@ -124,15 +149,11 @@ class AccountantState:
             raise ValueError("delta must lie in (0, 1)")
         if self.steps == 0:
             return 0.0, self.orders[0]
-        log_inv_delta = math.log(1.0 / delta)
-        best_eps = math.inf
-        best_order = self.orders[0]
-        for a, r in zip(self.orders, self.rdp_per_step):
-            eps = self.steps * r + log_inv_delta / (a - 1)
-            if eps < best_eps:
-                best_eps = eps
-                best_order = a
-        return best_eps, best_order
+        orders = np.array(self.orders)
+        with np.errstate(over="ignore"):  # a huge divergence times the steps is an infinite spend
+            epsilons = self.steps * np.array(self.rdp_per_step) + math.log(1.0 / delta) / (orders - 1)
+        best = int(np.argmin(epsilons))  # the first minimizing order
+        return float(epsilons[best]), self.orders[best]
 
 
 def to_epsilon(state: AccountantState, delta: float) -> float:

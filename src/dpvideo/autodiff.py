@@ -225,12 +225,15 @@ def backward(
         elif node.kind == "matmul":
             a = values[node.inputs[0]]
             b = values[node.inputs[1]]
+            into_a = tape.nodes[node.inputs[0]].kind != "input"  # nothing reads an input's adjoint
             # weight adjoints per clip: one product over all K * rows would round differently
             if a.ndim == 2:
-                accumulate(node.inputs[0], (g[:, None, :] @ b.T)[:, 0])
+                if into_a:
+                    accumulate(node.inputs[0], (g[:, None, :] @ b.T)[:, 0])
                 accumulate(node.inputs[1], a[:, :, None] * g[:, None, :])
             else:
-                accumulate(node.inputs[0], g @ b.T)
+                if into_a:
+                    accumulate(node.inputs[0], g @ b.T)
                 accumulate(node.inputs[1], np.swapaxes(a, -1, -2) @ g)
         elif node.kind == "add":
             a = values[node.inputs[0]]

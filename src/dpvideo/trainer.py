@@ -315,7 +315,6 @@ def pretrain(config: PretrainConfig) -> tuple[Model, float]:
         for clip in chunk_video(v, spec.clip_length):
             clips.append(clip)
             labels.append(v.label)
-    clips_arr = np.stack(clips)
     labels_arr = np.array(labels, dtype=np.float64)
 
     from .autodiff import gradient_of_mean_loss  # at call time, so a wrapper installed on it sees these calls
@@ -324,9 +323,9 @@ def pretrain(config: PretrainConfig) -> tuple[Model, float]:
         order = rng.stream(config.seed, rng.SHUFFLE, epoch).permutation(len(clips))
         for start in range(0, len(clips), config.batch_size):
             idx = order[start : start + config.batch_size]
-            grad = gradient_of_mean_loss(
-                model.tape, {"clip": clips_arr[idx, None], "label": labels_arr[idx, None]}, model.params
-            )
+            # gathered from the clip views, so the source set is never copied whole
+            batch = {"clip": np.stack([clips[i] for i in idx])[:, None], "label": labels_arr[idx, None]}
+            grad = gradient_of_mean_loss(model.tape, batch, model.params)
             model.params.apply_delta(-config.learning_rate * grad)
         log.info("pretrain epoch %d/%d done", epoch + 1, config.epochs)
     accuracy = evaluate(model, videos)

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gammaln, logsumexp
 from scipy.stats import norm
 
 from dpvideo.autodiff import Tape, forward
@@ -72,6 +73,32 @@ def renyi_divergence_quadrature(q: float, sigma: float, alpha: int) -> float:
         epsrel=1e-13,
     )
     return (shift + math.log(value)) / (alpha - 1.0)
+
+
+def rdp_curve_per_order(q: float, sigma: float, orders=range(2, 257)) -> list[float]:
+    """The closed-form per-step divergence, one scipy logsumexp call per order.
+
+    This is the scalar reference that the accountant's vectorised curve must
+    equal bit for bit. sigma = 0 diverges at every order; a sigma whose square
+    overflows has infinite variance.
+    """
+    if sigma == 0.0:
+        return [math.inf] * len(orders)
+    try:
+        variance = sigma**2
+    except OverflowError:
+        variance = math.inf
+    curve = []
+    for a in orders:
+        if q == 1.0:
+            curve.append(a / (2.0 * variance))
+            continue
+        k = np.arange(a + 1, dtype=np.float64)
+        log_binom = gammaln(a + 1) - gammaln(k + 1) - gammaln(a - k + 1)
+        with np.errstate(over="ignore"):
+            log_terms = log_binom + k * math.log(q) + (a - k) * math.log1p(-q) + k * (k - 1) / (2.0 * variance)
+        curve.append(float(logsumexp(log_terms)) / (a - 1))
+    return curve
 
 
 def epsilon_grid_scan(rdp_at_order, steps: int, delta: float, orders=range(2, 257)) -> tuple[float, int]:

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from dpvideo.accountant import (
+    ORDER_GRID,
     AccountantState,
     CalibrationError,
     PrivacyBudget,
@@ -13,7 +16,7 @@ from dpvideo.accountant import (
     rdp_subsampled_gaussian,
     to_epsilon,
 )
-from oracles import bisect_sigma, epsilon_grid_scan, renyi_divergence_quadrature
+from oracles import bisect_sigma, epsilon_grid_scan, rdp_curve_per_order, renyi_divergence_quadrature
 
 
 class TestGaussianRdp:
@@ -92,6 +95,54 @@ class TestSubsampledRdp:
             rdp_subsampled_gaussian(0.5, 1.0, 2.5)
 
 
+class TestVectorisedCurve:
+    @pytest.mark.parametrize("q", [1e-6, 0.01, 0.1, 0.5, 0.999, 1.0])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-155, 1e-153, 0.3, 0.8, 2.3055, 100.0, 1e200])
+    def test_curve_equals_one_logsumexp_per_order_bitwise(self, q, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowing term is a silent +inf
+            curve = AccountantState.create(q, sigma).rdp_per_step
+        expected = rdp_curve_per_order(q, sigma)
+        assert [v.hex() for v in curve] == [v.hex() for v in expected]
+        if sigma < 1e-150 and q < 1.0:
+            assert curve[-1] == math.inf
+
+    @pytest.mark.parametrize("q", [0.05, 0.999, 1.0])
+    @pytest.mark.parametrize("order", [2, 3, 33, 34, 256])
+    def test_one_order_is_that_order_of_the_curve(self, q, order):
+        curve = AccountantState.create(q, 1.1).rdp_per_step
+        assert rdp_subsampled_gaussian(q, 1.1, order) == curve[order - 2]
+        assert rdp_subsampled_gaussian(q, 1.1, order).hex() == rdp_curve_per_order(q, 1.1, [order])[0].hex()
+
+    # float.hex of sigma, epsilon and the minimizing order, taken from the
+    # per-order logsumexp accountant before the curve was vectorised: criterion
+    # 4's schedule, then perfbench's video_k8, sweep_short and peft_transfer
+    @pytest.mark.parametrize("schedule, sigma_hex, epsilon_hex, order", [
+        ((5.0, 1e-5, 0.1, 400), "0x1.271929999999ap+1", "0x1.3ffaf90b4241bp+2", 6),
+        ((5.0, 1e-5, 0.1, 40), "0x1.2183b1999999ap+0", "0x1.3ffd6a50afea4p+2", 5),
+        ((5.0, 1e-5, 0.1, 30), "0x1.146cd6cccccccp+0", "0x1.3ffbd5d69d032p+2", 5),
+        ((1.0, 1e-5, 0.05, 20), "0x1.c10b4e6666665p+0", "0x1.fff449b2c37b0p-1", 17),
+    ])
+    def test_schedule_bits_are_pinned(self, schedule, sigma_hex, epsilon_hex, order):
+        target, delta, q, steps = schedule
+        sigma = calibrate_sigma(target, delta, q, steps)
+        assert sigma.hex() == sigma_hex
+        epsilon, best = AccountantState.create(q, sigma, steps).epsilon_with_order(delta)
+        assert (epsilon.hex(), best) == (epsilon_hex, order)
+
+    def test_calibration_peak_allocation_stays_under_one_mib(self):
+        # the curve is built a block of orders at a time; one pass over the
+        # whole 255 x 257 grid holds about 2 MiB of temporaries
+        calibrate_sigma(5.0, 1e-5, 0.1, 400)  # warm the imports and caches
+        tracemalloc.start()
+        try:
+            calibrate_sigma(5.0, 1e-5, 0.1, 400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 class TestToEpsilon:
     def test_zero_steps_spends_nothing(self):
         state = AccountantState.create(0.1, 1.0)
@@ -107,6 +158,17 @@ class TestToEpsilon:
         # frozen from the scan: min over alpha of alpha/2 + ln(1e5)/(alpha-1)
         assert eps == pytest.approx(5.302585092994046, abs=1e-12)
         assert best == 6
+
+    def test_tied_orders_give_the_first(self):
+        # log(1/delta)/2 + log(1/delta)/4 is one float whichever term comes first,
+        # so orders 3 and 5 tie exactly; every other order spends infinity
+        delta = 1e-5
+        half = math.log(1.0 / delta) / 2
+        rdp = [math.inf] * len(ORDER_GRID)
+        rdp[ORDER_GRID.index(3)] = half / 2
+        rdp[ORDER_GRID.index(5)] = half
+        state = AccountantState(0.1, 1.0, 1, rdp_per_step=tuple(rdp))
+        assert state.epsilon_with_order(delta) == (half / 2 + half, 3)
 
     def test_doubling_steps_strictly_increases_epsilon(self):
         for steps in (1, 10, 400):
@@ -237,6 +299,14 @@ def test_sigma_whose_square_overflows_spends_nothing_per_step(q, sigma):
     epsilon, order = state.epsilon_with_order(1e-5)
     assert order == 256
     assert epsilon == pytest.approx(math.log(1e5) / 255, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [0.1, 1.0])
+def test_nan_sigma_is_rejected(q):
+    with pytest.raises(ValueError, match="noise multiplier"):
+        AccountantState.create(q, math.nan)
+    with pytest.raises(ValueError, match="noise multiplier"):
+        rdp_subsampled_gaussian(q, math.nan, 2)
 
 
 @pytest.mark.parametrize("q", [0.1, 1.0])
