@@ -11,7 +11,7 @@ from .accountant import (
     to_epsilon,
 )
 from .data import DatasetSpec, VideoSample, chunk_video, generate_dataset, load_dataset, sample_clips, save_dataset
-from .dp import MultiClipEntry, NoiseConfig, clip_gradient, dp_sgd_step, multi_clip_step, noisy_aggregate
+from .dp import MultiClipEntry, NoiseConfig, clip_gradient, multi_clip_step, noisy_aggregate
 from .finetune import Scheme, apply_scheme
 from .models import (
     AdapterSpec,
@@ -47,7 +47,6 @@ __all__ = [
     "calibrate_sigma",
     "chunk_video",
     "clip_gradient",
-    "dp_sgd_step",
     "evaluate",
     "generate_dataset",
     "group_privacy",

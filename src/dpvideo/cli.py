@@ -6,8 +6,9 @@ same flags reproduces the same output files byte for byte.
 
 Exit codes: 0 ok, 1 runtime error, 2 config error (a config file or key that is
 missing, unknown or invalid, or a bad flag value, such as account with a target
-epsilon and fewer than one step, or a non-finite number such as nan or inf
-where a setting needs a finite one), 3 infeasible calibration.
+epsilon and fewer than one step, sweep with --jobs below 1, or a non-finite
+number such as nan or inf where a setting needs a finite one), 3 infeasible
+calibration.
 Set DPV_LOG={error,info,debug} to control verbosity.
 """
 
@@ -150,6 +151,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be at least 1")
     config = load_train_config(args.config, args.override)
     k_values, seeds = load_sweep_lists(args.config, args.override)
     os.makedirs(args.out, exist_ok=True)

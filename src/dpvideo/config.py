@@ -49,6 +49,8 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValueError("must be a comma-separated list of integers") from None
     if not values:
         raise ValueError("must list at least one integer")
+    if len(set(values)) != len(values):  # a repeat would train one run twice and write its files twice
+        raise ValueError("must not list a value twice")
     return values
 
 

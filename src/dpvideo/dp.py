@@ -4,10 +4,10 @@ There is one private step, multi_clip_step: each video is a sample; the
 gradients of its sampled clips are averaged first (one tape walk over the
 video's clip stack), then the per-video average is clipped. No cross-video
 mixing happens before clipping, so one video contributes at most clip_norm to
-the aggregate regardless of how many clips it supplied. Clip-level DP-SGD,
-dp_sgd_step, is its k=1 case: every clip is a video of one clip.
-multi_clip_step applies its noisy update to the parameter store and returns
-nothing.
+the aggregate regardless of how many clips it supplied. Clip-level DP-SGD is
+its k=1 case: a batch of entries MultiClipEntry(label, [(0, clip)]), each clip
+a video of one clip. multi_clip_step applies its noisy update to the parameter
+store and returns nothing.
 
 Noise is drawn from a counter-based stream keyed by (seed, step_id), so a
 step's noise never depends on the number of clips per video.
@@ -111,19 +111,6 @@ def clip_video_gradients(
         clipped.append(clip_gradient(avg, cfg.clip_norm))
         losses.extend(entry_losses)
     return clipped, losses
-
-
-def dp_sgd_step(
-    batch: list[tuple[np.ndarray, int]],
-    tape: Tape,
-    store: ParameterStore,
-    cfg: NoiseConfig,
-    lr: float,
-    step_id: int,
-) -> None:
-    """One clip-level private step: multi_clip_step with every clip its own video."""
-    videos = [MultiClipEntry(label=label, clips=[(0, clip)]) for clip, label in batch]
-    multi_clip_step(videos, tape, store, cfg, lr, step_id)
 
 
 def multi_clip_step(

@@ -282,6 +282,16 @@ class TestSweep:
         assert "sweep.clips" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])  # a large value would start that many processes
+    def test_jobs_below_one_exits_2_with_no_outputs(self, capsys, experiment, tmp_path, jobs):
+        out_dir = tmp_path / "x"
+        code, stdout, err = run_cli(capsys, "sweep", "--config", experiment["config"],
+                                    "--jobs", jobs, "--out", str(out_dir))
+        assert code == 2
+        assert "--jobs must be at least 1" in err
+        assert stdout == ""
+        assert not out_dir.exists()
+
     def test_sweep_writes_per_run_and_combined_files(self, capsys, experiment, tmp_path):
         out_dir = str(tmp_path / "sweep")
         code, stdout, _ = run_cli(capsys, "sweep", "--config", experiment["config"],
@@ -363,6 +373,8 @@ SEED_RANGE = "must lie in [0, 2**64)"
     ("pretrain", ["pretrain.seed=-1"], SEED_RANGE),
     ("sweep", ["sweep.seeds=0,18446744073709551616"], SEED_RANGE),
     ("sweep", ["sweep.seeds=-1"], SEED_RANGE),
+    ("sweep", ["sweep.clips=1,1"], "sweep.clips = '1,1': must not list a value twice"),
+    ("sweep", ["sweep.seeds=3,3"], "sweep.seeds = '3,3': must not list a value twice"),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
 def test_setting_no_run_can_use_exits_2_with_no_outputs(capsys, experiment, tmp_path, command, overrides,
                                                         message):

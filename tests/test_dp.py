@@ -6,7 +6,6 @@ from dpvideo.dp import (
     NoiseConfig,
     clip_gradient,
     clip_video_gradients,
-    dp_sgd_step,
     multi_clip_step,
     noisy_aggregate,
     per_video_gradient,
@@ -99,13 +98,16 @@ class TestNoisyAggregate:
             noisy_aggregate([], NoiseConfig(1.0, 1.0, seed=0), 0)
 
 
-def random_clip_batch(gen, count):
+def single_clip_batch(gen, count):
+    """Clip-level DP-SGD's batch: every clip is a video of one clip."""
     clips = [gen.standard_normal((2, 4)) for _ in range(count)]
     labels = [int(gen.integers(0, 3)) for _ in range(count)]
-    return list(zip(clips, labels))
+    return [MultiClipEntry(label=label, clips=[(0, clip)]) for clip, label in zip(clips, labels)]
 
 
 class TestDpSgdStep:
+    """Clip-level DP-SGD is multi_clip_step over single-clip entries."""
+
     def test_frozen_parameters_never_move(self):
         model = fresh_model()
         model.params.set_trainable("layer0.weight", False)
@@ -114,7 +116,7 @@ class TestDpSgdStep:
         gen = np.random.default_rng(2)
         cfg = NoiseConfig(clip_norm=1.0, noise_multiplier=1.0, seed=0)
         for step in range(5):
-            dp_sgd_step(random_clip_batch(gen, 3), model.tape, model.params, cfg, 0.1, step)
+            multi_clip_step(single_clip_batch(gen, 3), model.tape, model.params, cfg, 0.1, step)
         for name, value in before.items():
             assert np.array_equal(model.params.value(name), value)
 
@@ -131,7 +133,7 @@ class TestDpSgdStep:
         )
         bound = 2.0 * float(np.linalg.norm(grad))  # comfortably unclipped
         cfg = NoiseConfig(clip_norm=bound, noise_multiplier=0.0, seed=0)
-        dp_sgd_step([(clip, 1)], model.tape, model.params, cfg, 0.05, 0)
+        multi_clip_step([MultiClipEntry(label=1, clips=[(0, clip)])], model.tape, model.params, cfg, 0.05, 0)
         twin.params.apply_delta(-0.05 * grad)
         for name in model.params.names():
             assert np.array_equal(model.params.value(name), twin.params.value(name))
@@ -148,7 +150,7 @@ class TestDpSgdStep:
         )
         half_norm = np.linalg.norm(grad) / 2.0
         cfg = NoiseConfig(clip_norm=half_norm, noise_multiplier=0.0, seed=0)
-        dp_sgd_step([(clip, 2)], model.tape, model.params, cfg, 0.1, 0)
+        multi_clip_step([MultiClipEntry(label=2, clips=[(0, clip)])], model.tape, model.params, cfg, 0.1, 0)
         twin.params.apply_delta(-0.1 * (grad / 2.0))
         for name in model.params.names():
             assert np.allclose(model.params.value(name), twin.params.value(name), atol=1e-15)
@@ -161,18 +163,6 @@ class TestMultiClipStep:
             MultiClipEntry(label=0, clips=[])
         with pytest.raises(ValueError, match="duplicate clip indices"):
             MultiClipEntry(label=0, clips=[(1, c), (1, c)])
-
-    def test_single_clip_videos_match_dp_sgd_bitwise(self):
-        gen = np.random.default_rng(5)
-        batch = random_clip_batch(gen, 4)
-        a = fresh_model(seed=6)
-        b = fresh_model(seed=6)
-        cfg = NoiseConfig(clip_norm=1.0, noise_multiplier=0.7, seed=21)
-        dp_sgd_step(batch, a.tape, a.params, cfg, 0.1, 3)
-        entries = [MultiClipEntry(label=lab, clips=[(0, clip)]) for clip, lab in batch]
-        multi_clip_step(entries, b.tape, b.params, cfg, 0.1, 3)
-        for name in a.params.names():
-            assert np.array_equal(a.params.value(name), b.params.value(name))
 
     def test_identical_clips_average_to_the_same_gradient(self):
         model = fresh_model(seed=7)

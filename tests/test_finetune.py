@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dpvideo.autodiff import backward
-from dpvideo.dp import NoiseConfig, dp_sgd_step
+from dpvideo.dp import MultiClipEntry, NoiseConfig, multi_clip_step
 from dpvideo.finetune import Scheme, apply_scheme
 from dpvideo.models import AdapterSpec, ModelConfig, build_model, insert_adapters
 
@@ -118,7 +118,8 @@ def test_frozen_parameters_survive_training_under_every_scheme():
         frozen = [n for n in model.params.names() if not model.params.is_trainable(n)]
         before = model.params.snapshot(frozen)
         for step in range(4):
-            batch = [(gen.standard_normal((4, 6)), int(gen.integers(0, 5))) for _ in range(3)]
-            dp_sgd_step(batch, model.tape, model.params, cfg, 0.1, step)
+            pairs = [(gen.standard_normal((4, 6)), int(gen.integers(0, 5))) for _ in range(3)]
+            batch = [MultiClipEntry(label=label, clips=[(0, clip)]) for clip, label in pairs]
+            multi_clip_step(batch, model.tape, model.params, cfg, 0.1, step)
         for name in frozen:
             assert np.array_equal(model.params.value(name), before[name]), (kind, name)

@@ -300,10 +300,13 @@ class TestEvaluate:
 
 
 class TestSweep:
-    def test_singleton_sweep_equals_plain_train(self, datasets):
+    def test_sweep_is_exactly_its_runs(self, datasets):
         config = base_config(datasets, seed=2)
-        (report,) = sweep_clips(config, [1])
-        assert report_to_dict(report) == report_to_dict(train(config))
+        expected = [report_to_dict(train(dataclasses.replace(config, clips_per_video=k, seed=seed)))
+                    for seed in (0, 1) for k in (1, 2)]
+        for jobs in (1, 2):
+            reports = sweep_clips(config, [1, 2], seeds=[0, 1], jobs=jobs)
+            assert [report_to_dict(r) for r in reports] == expected, jobs
 
     def test_sweep_shares_calibration_across_k(self, datasets):
         reports = sweep_clips(base_config(datasets), [1, 2], seeds=[0, 1])
