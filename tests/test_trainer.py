@@ -302,28 +302,20 @@ class TestEvaluate:
 class TestSweep:
     def test_sweep_is_exactly_its_runs(self, datasets):
         config = base_config(datasets, seed=2)
-        expected = [report_to_dict(train(dataclasses.replace(config, clips_per_video=k, seed=seed)))
-                    for seed in (0, 1) for k in (1, 2)]
+        runs = {
+            (k, seed): report_to_dict(train(dataclasses.replace(config, clips_per_video=k, seed=seed)))
+            for seed in (0, 1, 2) for k in (1, 2)
+        }
         for jobs in (1, 2):
-            reports = sweep_clips(config, [1, 2], seeds=[0, 1], jobs=jobs)
-            assert [report_to_dict(r) for r in reports] == expected, jobs
-
-    def test_sweep_shares_calibration_across_k(self, datasets):
-        reports = sweep_clips(base_config(datasets), [1, 2], seeds=[0, 1])
-        assert len(reports) == 4
-        by_seed = {}
-        for rep in reports:
-            by_seed.setdefault(rep.seed, []).append(rep)
-        for seed, reps in by_seed.items():
-            assert len({r.noise_multiplier for r in reps}) == 1
-            assert len({r.steps for r in reps}) == 1
-            assert len({r.final_epsilon for r in reps}) == 1
-
-    def test_parallel_jobs_match_sequential(self, datasets):
-        config = base_config(datasets)
-        seq = sweep_clips(config, [1, 2], jobs=1)
-        par = sweep_clips(config, [1, 2], jobs=2)
-        assert [report_to_dict(r) for r in seq] == [report_to_dict(r) for r in par]
+            for seeds in ([0, 1], None):  # None sweeps config.seed alone
+                reports = sweep_clips(config, [1, 2], seeds=seeds, jobs=jobs)
+                expected = [runs[k, seed] for seed in seeds or [2] for k in (1, 2)]
+                assert [report_to_dict(r) for r in reports] == expected, (jobs, seeds)
+        # a sweep varies nothing the privacy spend is derived from
+        for seed in (0, 1, 2):
+            one, two = runs[1, seed], runs[2, seed]
+            for key in ("noise_multiplier", "steps", "final_epsilon"):
+                assert one[key] == two[key], (seed, key)
 
 
 def test_pretrain_learns_the_source_task(datasets, tmp_path):
