@@ -6,12 +6,13 @@ held in a per-run list, so the tape itself is immutable during a batch and
 safe to share across concurrent per-sample computations.
 
 Shape contract: a walk takes a stack of K >= 1 clips. Every input is (K,) +
-its declared shape, so the label input holds one label per clip, and every
-value on the walk carries the clip axis. Each clip is computed bit for bit as
-a stack of one would compute it: parameter adjoints stay per clip until
-backward sums them in clip order, and a vector per clip (the pooled features
-at the head) is multiplied as a stack of gemv products, a[:, None, :] @ w,
-since one (K, H) @ (H, C) gemm rounds differently.
+its declared shape, so the label input holds one label per clip. Every other
+value on the walk except the loss has one rank, (K, rows, width): mean_pool
+keeps its row axis, so the pooled features and the logits have one row per
+clip, and softmax_xent reads the logits as [:, 0]. Each clip is computed bit
+for bit as a stack of one would compute it: every product is a batch of
+per-clip matrix products, and parameter adjoints stay per clip until
+backward sums them in clip order.
 
 Primitives: matmul, (broadcasting) add, relu, group/layer normalization,
 temporal mean-pool, softmax cross-entropy.
@@ -50,7 +51,7 @@ class Tape:
     def __init__(self) -> None:
         self.nodes: list[Node] = []
         self.input_shapes: dict[str, tuple[int, ...]] = {}
-        self.param_shapes: dict[str, tuple[int, ...]] = {}  # in first-declaration order
+        self.param_shapes: dict[str, tuple[int, ...]] = {}  # in declaration order
         self.loss_id: int | None = None
         self.logits_id: int | None = None
 
@@ -68,7 +69,9 @@ class Tape:
         return self._push("input", (), name, shape=tuple(shape))
 
     def param(self, name: str, shape: tuple[int, ...]) -> int:
-        self.param_shapes.setdefault(name, tuple(shape))
+        if name in self.param_shapes:
+            raise ValueError(f"duplicate parameter {name!r}")
+        self.param_shapes[name] = tuple(shape)
         return self._push("param", (), name)
 
     def matmul(self, a: int, b: int, name: str) -> int:
@@ -125,15 +128,13 @@ def _eval_node(node: Node, values: list, inputs: dict, params: ParameterStore):
     if kind == "mean_pool":
         if a.ndim != 3:
             raise ShapeMismatchError(f"node {node.name!r}: mean_pool expects a matrix per clip, got shape {a.shape}")
-        return a.mean(axis=1)
+        return a.mean(axis=1, keepdims=True)
     if kind == "matmul":
         b = values[node.inputs[1]]
         if a.shape[-1] != b.shape[0]:
             raise ShapeMismatchError(
                 f"node {node.name!r}: matmul shapes {a.shape} x {b.shape} do not compose"
             )
-        if a.ndim == 2:  # one vector per clip: a stack of gemv products
-            return (a[:, None, :] @ b)[:, 0]
         return a @ b
     if kind == "add":
         b = values[node.inputs[1]]
@@ -149,9 +150,9 @@ def _eval_node(node: Node, values: list, inputs: dict, params: ParameterStore):
         normed = ((g - mean) / np.sqrt(var + node.meta["eps"])).reshape(a.shape)
         return normed * scale + shift
     if kind == "softmax_xent":
-        logits = a
-        if logits.ndim != 2:
-            raise ShapeMismatchError(f"node {node.name!r}: expected a logit vector per clip, got shape {logits.shape}")
+        if a.ndim != 3 or a.shape[1] != 1:
+            raise ShapeMismatchError(f"node {node.name!r}: expected one logit row per clip, got shape {a.shape}")
+        logits = a[:, 0]
         labels = values[node.inputs[1]].astype(np.intp)
         if len(labels) != len(logits):
             raise ShapeMismatchError(f"node {node.name!r}: {len(labels)} labels for {len(logits)} clips")
@@ -178,7 +179,7 @@ def forward(tape: Tape, inputs: dict, params: ParameterStore) -> tuple[np.ndarra
     if tape.loss_id is None or tape.logits_id is None:
         raise ValueError("tape outputs not marked")
     values = run_forward(tape, inputs, params)
-    return values[tape.loss_id], values[tape.logits_id]
+    return values[tape.loss_id], values[tape.logits_id][:, 0]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -194,10 +195,10 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Gradients of the summed clip losses of a K-clip stack w.r.t. every parameter node.
 
-    Returns a dict name -> gradient array; parameters used at several nodes
-    accumulate. Each clip's gradient is formed as a stack of one would form
-    it, then the clip gradients are summed in clip order. Traversal is a fixed
-    reverse walk of the record, so repeated calls are bit-identical.
+    Returns a dict name -> gradient array. Each clip's gradient is formed as
+    a stack of one would form it, then the clip gradients are summed in clip
+    order. Traversal is a fixed reverse walk of the record, so repeated calls
+    are bit-identical.
     """
     if values is None:
         values = run_forward(tape, inputs, params)
@@ -220,21 +221,15 @@ def backward(
             accumulate(node.inputs[0], g * (a > 0.0))
         elif node.kind == "mean_pool":
             a = values[node.inputs[0]]
-            rows = a.shape[1]
-            accumulate(node.inputs[0], np.broadcast_to((g / rows)[:, None, :], a.shape).copy())
+            accumulate(node.inputs[0], np.broadcast_to(g / a.shape[1], a.shape).copy())
         elif node.kind == "matmul":
             a = values[node.inputs[0]]
             b = values[node.inputs[1]]
             into_a = tape.nodes[node.inputs[0]].kind != "input"  # nothing reads an input's adjoint
+            if into_a:
+                accumulate(node.inputs[0], g @ b.T)
             # weight adjoints per clip: one product over all K * rows would round differently
-            if a.ndim == 2:
-                if into_a:
-                    accumulate(node.inputs[0], (g[:, None, :] @ b.T)[:, 0])
-                accumulate(node.inputs[1], a[:, :, None] * g[:, None, :])
-            else:
-                if into_a:
-                    accumulate(node.inputs[0], g @ b.T)
-                accumulate(node.inputs[1], np.swapaxes(a, -1, -2) @ g)
+            accumulate(node.inputs[1], np.swapaxes(a, -1, -2) @ g)
         elif node.kind == "add":
             a = values[node.inputs[0]]
             b = values[node.inputs[1]]
@@ -243,7 +238,7 @@ def backward(
                 accumulate(node.inputs[1], g)
             else:
                 # bias broadcast over the rows of each clip
-                accumulate(node.inputs[1], g.sum(axis=tuple(range(1, g.ndim - 1))))
+                accumulate(node.inputs[1], g.sum(axis=1))
         elif node.kind == "norm":
             x = values[node.inputs[0]]
             scale = values[node.inputs[1]]
@@ -252,9 +247,8 @@ def backward(
             gx, mean, var = _group_stats(x, groups)
             inv = 1.0 / np.sqrt(var + eps)
             xhat = ((gx - mean) * inv).reshape(x.shape)
-            axes = tuple(range(1, x.ndim - 1))
-            accumulate(node.inputs[1], (g * xhat).sum(axis=axes))
-            accumulate(node.inputs[2], g.sum(axis=axes))
+            accumulate(node.inputs[1], (g * xhat).sum(axis=1))
+            accumulate(node.inputs[2], g.sum(axis=1))
             dxhat = (g * scale).reshape(gx.shape)
             xh = xhat.reshape(gx.shape)
             m1 = dxhat.mean(axis=-1, keepdims=True)
@@ -262,19 +256,15 @@ def backward(
             dx = ((dxhat - m1 - xh * m2) * inv).reshape(x.shape)
             accumulate(node.inputs[0], dx)
         elif node.kind == "softmax_xent":
-            logits = values[node.inputs[0]]
+            logits = values[node.inputs[0]][:, 0]
             grad = _softmax(logits)
             grad[np.arange(len(logits)), values[node.inputs[1]].astype(np.intp)] -= 1.0
-            accumulate(node.inputs[0], g[:, None] * grad)
+            accumulate(node.inputs[0], (g[:, None] * grad)[:, None])
         else:
             raise ValueError(f"unknown node kind {node.kind!r}")
 
-    grads: dict[str, np.ndarray] = {}
-    for i, node in enumerate(tape.nodes):
-        if node.kind == "param" and adjoints[i] is not None:
-            prev = grads.get(node.name)
-            grads[node.name] = adjoints[i] if prev is None else prev + adjoints[i]
-    return {name: g.sum(axis=0) for name, g in grads.items()}
+    return {node.name: adjoints[i].sum(axis=0) for i, node in enumerate(tape.nodes)
+            if node.kind == "param" and adjoints[i] is not None}
 
 
 def per_sample_gradients(

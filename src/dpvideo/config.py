@@ -74,6 +74,12 @@ def _existing_file(path: str) -> str:
     return path
 
 
+def _path_in_existing_dir(path: str) -> str:
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError("no such directory")
+    return path
+
+
 # section.key -> (field, converter); with field None the converter returns a dict of fields
 _MODEL_KEYS = {
     "model.hidden": ("hidden_dims", _parse_hidden),
@@ -107,7 +113,7 @@ _TRAIN_FILE_KEYS = TRAIN_KEYS.keys() | SWEEP_KEYS.keys()  # sweep reads its list
 
 PRETRAIN_KEYS = {
     "pretrain.data": ("data", _existing_file),
-    "pretrain.out": ("out", str),
+    "pretrain.out": ("out", _path_in_existing_dir),
     **_MODEL_KEYS,
     "pretrain.epochs": ("epochs", int),
     "pretrain.batch_size": ("batch_size", int),

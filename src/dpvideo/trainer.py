@@ -160,15 +160,20 @@ def evaluate(model: Model, videos: list[VideoSample]) -> float:
     return hits / len(videos)
 
 
+def _check_clip_count(clips_per_video: int, spec: DatasetSpec) -> None:
+    """A run samples k distinct clips per video, so k may not exceed the clips a video has."""
+    if clips_per_video > spec.clips_per_video:
+        raise ValueError(
+            f"clips_per_video {clips_per_video} exceeds the {spec.clips_per_video} "
+            f"clips available per video"
+        )
+
+
 def train(config: TrainConfig) -> RunReport:
     train_spec, train_videos = load_dataset(config.train_data)
     eval_spec, eval_videos = load_dataset(config.eval_data)
     _check_compatible(train_spec, eval_spec)
-    if config.clips_per_video > train_spec.clips_per_video:
-        raise ValueError(
-            f"clips_per_video {config.clips_per_video} exceeds the {train_spec.clips_per_video} "
-            f"clips available per video"
-        )
+    _check_clip_count(config.clips_per_video, train_spec)
 
     model = setup_model(config, train_spec)
     frozen_names = [n for n in model.params.names() if not model.params.is_trainable(n)]
@@ -251,10 +256,16 @@ def sweep_clips(
     steps and every epsilon only from sampling_rate, max_epochs, target_epsilon
     or noise_multiplier, and delta, which a sweep does not vary, so its runs
     share them; each run still calibrates sigma, so n runs pay n calibrations.
+    Every k is checked against the training set before the first run starts.
     Runs are independent, so jobs > 1 executes them in separate processes."""
     if not k_values:
         raise ValueError("no clip counts to sweep")
     seeds = [config.seed] if seeds is None else list(seeds)
+    if not seeds:
+        raise ValueError("no seeds to sweep")
+    train_spec = load_dataset(config.train_data)[0]  # the videos are not kept alive through the runs
+    for k in k_values:
+        _check_clip_count(k, train_spec)
     configs = [
         replace(config, clips_per_video=k, seed=seed) for seed in seeds for k in k_values
     ]

@@ -6,10 +6,12 @@ import pytest
 from dpvideo.autodiff import (
     NonFiniteLossError,
     ShapeMismatchError,
+    Tape,
     backward,
     forward,
     gradient_of_mean_loss,
     per_sample_gradients,
+    run_forward,
 )
 from dpvideo.data import VideoSample
 from dpvideo.models import AdapterSpec, Model, ModelConfig, build_model, insert_adapters, predict_video, video_logits
@@ -94,6 +96,31 @@ def test_shape_mismatch_names_the_offending_node():
     bad.params._params["layer0.weight"].value = np.zeros((4, 6))  # sabotage
     with pytest.raises(ShapeMismatchError, match="layer0.matmul"):
         forward(bad.tape, {"clip": np.zeros((1, 3, 5)), "label": np.array([0])}, bad.params)
+
+
+@pytest.mark.parametrize("clips", [1, 3])
+def test_every_walk_value_but_the_label_and_loss_is_clips_rows_width(clips):
+    model = build_model(
+        ModelConfig(input_dim=5, frames_per_clip=3, hidden_dims=(6,), norm_kind="layer", num_classes=4), seed=3
+    )
+    insert_adapters(model, AdapterSpec(2), seed=3)
+    values = run_forward(model.tape, {"clip": np.ones((clips, 3, 5)), "label": np.zeros(clips)}, model.params)
+    for node, value in zip(model.tape.nodes, values):
+        if node.kind == "param":
+            continue
+        if node.name in ("label", "loss"):
+            assert value.shape == (clips,), node.name
+        else:
+            assert value.ndim == 3 and len(value) == clips, (node.name, value.shape)
+    pooled = next(v for node, v in zip(model.tape.nodes, values) if node.kind == "mean_pool")
+    assert pooled.shape == (clips, 1, 6)
+
+
+def test_a_repeated_parameter_name_is_rejected():
+    tape = Tape()
+    tape.param("w", (2, 2))
+    with pytest.raises(ValueError, match="duplicate parameter 'w'"):
+        tape.param("w", (3, 3))
 
 
 def test_label_count_must_match_clip_count():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from dpvideo import trainer
 from dpvideo.cli import main
 from dpvideo.data import load_dataset
 
@@ -292,6 +293,19 @@ class TestSweep:
         assert stdout == ""
         assert not out_dir.exists()
 
+    def test_clip_count_above_the_videos_exits_1_before_any_run(self, capsys, experiment, tmp_path,
+                                                                monkeypatch):
+        real_train, runs = trainer.train, []
+        monkeypatch.setattr(trainer, "train", lambda config: runs.append(config) or real_train(config))
+        out_dir = tmp_path / "x"
+        code, stdout, err = run_cli(capsys, "sweep", "--config", experiment["config"],
+                                    "--override", "sweep.clips=1,3", "--out", str(out_dir))
+        assert code == 1
+        assert runs == []
+        assert "clips_per_video 3 exceeds the 2 clips available per video" in err
+        assert stdout == ""
+        assert os.listdir(out_dir) == []  # the directory is made before the runs
+
     def test_sweep_writes_per_run_and_combined_files(self, capsys, experiment, tmp_path):
         out_dir = str(tmp_path / "sweep")
         code, stdout, _ = run_cli(capsys, "sweep", "--config", experiment["config"],
@@ -375,6 +389,7 @@ SEED_RANGE = "must lie in [0, 2**64)"
     ("sweep", ["sweep.seeds=-1"], SEED_RANGE),
     ("sweep", ["sweep.clips=1,1"], "sweep.clips = '1,1': must not list a value twice"),
     ("sweep", ["sweep.seeds=3,3"], "sweep.seeds = '3,3': must not list a value twice"),
+    ("pretrain", ["pretrain.out=no-such-dir/source.dpvm"], "pretrain.out = 'no-such-dir/source.dpvm': no such directory"),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
 def test_setting_no_run_can_use_exits_2_with_no_outputs(capsys, experiment, tmp_path, command, overrides,
                                                         message):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dpvideo import dp, rng
+from dpvideo import dp, rng, trainer
 from dpvideo.accountant import AccountantState, to_epsilon
 from dpvideo.autodiff import backward
 from dpvideo.data import DatasetSpec, class_templates, generate_dataset, save_dataset
@@ -316,6 +316,18 @@ class TestSweep:
             one, two = runs[1, seed], runs[2, seed]
             for key in ("noise_multiplier", "steps", "final_epsilon"):
                 assert one[key] == two[key], (seed, key)
+
+    def test_a_k_above_the_clip_count_fails_before_any_run(self, datasets, monkeypatch):
+        runs = []
+        monkeypatch.setattr(trainer, "train", runs.append)
+        with pytest.raises(ValueError, match="clips_per_video 3 exceeds the 2 clips available per video"):
+            sweep_clips(base_config(datasets), [1, 3])
+        assert runs == []
+
+    @pytest.mark.parametrize("k_values, seeds, what", [([], None, "clip counts"), ([1], [], "seeds")])
+    def test_an_empty_list_is_rejected(self, datasets, k_values, seeds, what):
+        with pytest.raises(ValueError, match=f"no {what} to sweep"):
+            sweep_clips(base_config(datasets), k_values, seeds=seeds)
 
 
 def test_pretrain_learns_the_source_task(datasets, tmp_path):
