@@ -12,6 +12,12 @@ binomial closed form (Mironov, Talwar & Zhang, arXiv:1908.10530)
 evaluated here in log space to stay finite for large orders or small sigma.
 At q=1 it reduces to the plain Gaussian value a / (2 sigma^2).
 
+The log binomials come from LOG_FACTORIAL, a table of log(n!) for n in
+0..ORDER_GRID[-1], which is every value the curve asks for. It is built the
+way Cephes lgam (scipy.special.gammaln) evaluates log Gamma(n + 1), so each
+entry is bit for bit gammaln(n + 1): below 13, the log of the exact product
+n!; from there on, Stirling's series with Cephes' coefficients.
+
 The whole curve is one numpy pass over the order grid, ORDER_BLOCK orders at
 a time, so the transient stays a few hundred KiB. The log-sum-exp replays
 scipy.special.logsumexp step for step: every maximum of a row leaves the sum,
@@ -25,11 +31,29 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 ORDER_GRID: tuple[int, ...] = tuple(range(2, 257))
 SIGMA_BRACKET: tuple[float, float] = (0.3, 100.0)  # calibrate_sigma's search range
 ORDER_BLOCK = 32  # orders per pass; a whole-grid pass holds about 2 MiB of temporaries
+
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+             -2.77777777730099687205e-3, 8.33333333333331927722e-2)  # Cephes lgam's A, highest power first
+
+
+def _log_factorial(n: int) -> float:
+    """log(n!) = log Gamma(x) at x = n + 1, in Cephes lgam's operations and order."""
+    x = float(n + 1)
+    if x < 13.0:
+        return math.log(math.factorial(n))  # n! <= 12! is exact in a double
+    p = 1.0 / (x * x)
+    series = _STIRLING[0]
+    for c in _STIRLING[1:]:
+        series = series * p + c
+    return (x - 0.5) * math.log(x) - x + _LS2PI + series / x
+
+
+LOG_FACTORIAL = np.array([_log_factorial(n) for n in range(ORDER_GRID[-1] + 1)])
 
 
 class CalibrationError(ValueError):
@@ -83,10 +107,11 @@ def _rdp_curve(sampling_rate: float, variance: float, orders: np.ndarray) -> np.
     curve = np.empty(len(orders))
     for start in range(0, len(orders), ORDER_BLOCK):
         block = orders[start : start + ORDER_BLOCK]
-        a = block[:, None].astype(np.float64)
-        k = np.arange(block[-1] + 1, dtype=np.float64)
+        a_int = block[:, None]
+        k_int = np.arange(block[-1] + 1)
         # past k = a the binomial has a pole: clamping keeps those padding terms finite until they are masked
-        log_binom = gammaln(a + 1) - gammaln(k + 1) - gammaln(np.maximum(a - k, 0.0) + 1)
+        log_binom = LOG_FACTORIAL[a_int] - LOG_FACTORIAL[k_int] - LOG_FACTORIAL[np.maximum(a_int - k_int, 0)]
+        a, k = a_int.astype(np.float64), k_int.astype(np.float64)
         with np.errstate(over="ignore"):  # a term that overflows is +inf: the divergence is infinite
             terms = log_binom + k * log_q + (a - k) * log_1mq + k * (k - 1) / (2.0 * variance)
         terms[k > a] = -np.inf
@@ -103,11 +128,12 @@ def _rdp_curve(sampling_rate: float, variance: float, orders: np.ndarray) -> np.
 
 
 def rdp_subsampled_gaussian(sampling_rate: float, noise_multiplier: float, order: int) -> float:
-    """Per-step Renyi divergence of the Poisson-subsampled Gaussian mechanism."""
+    """Per-step Renyi divergence of the Poisson-subsampled Gaussian mechanism at
+    one order of ORDER_GRID."""
     _check_sampling_rate(sampling_rate)
     variance = noise_variance(noise_multiplier)
-    if not isinstance(order, (int, np.integer)) or order < 2:
-        raise ValueError(f"order must be an integer >= 2, got {order!r}")
+    if not isinstance(order, (int, np.integer)) or not ORDER_GRID[0] <= order <= ORDER_GRID[-1]:
+        raise ValueError(f"order must be an integer in [{ORDER_GRID[0]}, {ORDER_GRID[-1]}], got {order!r}")
     return float(_rdp_curve(sampling_rate, variance, np.array([order]))[0])
 
 

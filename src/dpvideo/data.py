@@ -146,13 +146,27 @@ def save_dataset(path: str, spec: DatasetSpec, videos: list[VideoSample]) -> Non
             records.write_array(f, v.frames)
 
 
+def _open_dataset(path: str):
+    return records.open_records(path, DATASET_MAGIC, DATASET_VERSION, DatasetFormatError, "dataset")
+
+
+def _read_spec(r: records.RecordReader) -> DatasetSpec:
+    *fields, has_tseed, tseed, jitter = r.unpack(_HEADER, "dataset header")
+    try:
+        return DatasetSpec(*fields, tseed if has_tseed else None, jitter)
+    except ValueError as e:
+        raise DatasetFormatError(f"bad dataset header: {e}") from None
+
+
+def load_dataset_spec(path: str) -> DatasetSpec:
+    """The spec in a dataset file's header; no video record is read."""
+    with _open_dataset(path) as r:
+        return _read_spec(r)
+
+
 def load_dataset(path: str) -> tuple[DatasetSpec, list[VideoSample]]:
-    with records.open_records(path, DATASET_MAGIC, DATASET_VERSION, DatasetFormatError, "dataset") as r:
-        *fields, has_tseed, tseed, jitter = r.unpack(_HEADER, "dataset header")
-        try:
-            spec = DatasetSpec(*fields, tseed if has_tseed else None, jitter)
-        except ValueError as e:
-            raise DatasetFormatError(f"bad dataset header: {e}") from None
+    with _open_dataset(path) as r:
+        spec = _read_spec(r)
         videos = []
         while not r.at_end():
             at = r.offset

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rng
 from .accountant import AccountantState, calibrate_sigma, noise_variance, to_epsilon
-from .data import DatasetSpec, VideoSample, chunk_video, load_dataset, sample_clips
+from .data import DatasetSpec, VideoSample, chunk_video, load_dataset, load_dataset_spec, sample_clips
 from .dp import MultiClipEntry, NoiseConfig, multi_clip_step
 from .finetune import SCHEME_KINDS, Scheme, apply_scheme
 from .models import (
@@ -263,7 +263,7 @@ def sweep_clips(
     seeds = [config.seed] if seeds is None else list(seeds)
     if not seeds:
         raise ValueError("no seeds to sweep")
-    train_spec = load_dataset(config.train_data)[0]  # the videos are not kept alive through the runs
+    train_spec = load_dataset_spec(config.train_data)
     for k in k_values:
         _check_clip_count(k, train_spec)
     configs = [

@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they check: finite differences for
 analytic gradients, stabilized adaptive quadrature for the closed-form Renyi
-divergence, and exhaustive scans for grid minimizations.
+divergence, exhaustive scans for grid minimizations, and scipy's special
+functions for the numpy ports that dpvideo runs on. Only the tests need scipy.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, ndtri
 from scipy.stats import norm
 
 from dpvideo.autodiff import Tape, forward
@@ -40,6 +41,16 @@ def grad_close(analytic: float, numeric: float, rel: float = 1e-4, abs_floor: fl
     if abs(analytic - numeric) < abs_floor:
         return True
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric)) < rel
+
+
+def log_factorial(n: np.ndarray) -> np.ndarray:
+    """log(n!) as scipy's gammaln(n + 1), the reference for the accountant's table."""
+    return gammaln(np.asarray(n, dtype=np.float64) + 1.0)
+
+
+def inverse_normal_cdf(u: np.ndarray) -> np.ndarray:
+    """scipy.special.ndtri, the reference for the noise sampler's inverse CDF."""
+    return ndtri(u)
 
 
 def renyi_divergence_quadrature(q: float, sigma: float, alpha: int) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dpvideo.accountant import (
+    LOG_FACTORIAL,
     ORDER_GRID,
     AccountantState,
     CalibrationError,
@@ -16,7 +17,13 @@ from dpvideo.accountant import (
     rdp_subsampled_gaussian,
     to_epsilon,
 )
-from oracles import bisect_sigma, epsilon_grid_scan, rdp_curve_per_order, renyi_divergence_quadrature
+from oracles import (
+    bisect_sigma,
+    epsilon_grid_scan,
+    log_factorial,
+    rdp_curve_per_order,
+    renyi_divergence_quadrature,
+)
 
 
 class TestGaussianRdp:
@@ -93,6 +100,15 @@ class TestSubsampledRdp:
             rdp_subsampled_gaussian(0.5, 1.0, 1)
         with pytest.raises(ValueError):
             rdp_subsampled_gaussian(0.5, 1.0, 2.5)
+        with pytest.raises(ValueError, match=r"in \[2, 256\]"):
+            rdp_subsampled_gaussian(0.5, 1.0, 257)  # past the log-factorial table
+
+
+def test_log_factorial_table_is_gammaln_bit_for_bit():
+    # the curve's log binomials index it at a, k and a - k, all in 0..ORDER_GRID[-1]
+    n = np.arange(ORDER_GRID[-1] + 1)
+    assert LOG_FACTORIAL.shape == n.shape
+    assert LOG_FACTORIAL.view(np.uint64).tolist() == log_factorial(n).view(np.uint64).tolist()
 
 
 class TestVectorisedCurve:

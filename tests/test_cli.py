@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -191,6 +193,21 @@ class TestTrain:
         lines = Path(out_dir, "report.csv").read_text().splitlines()
         assert lines[0] == "step,epsilon,accuracy"
         assert len(lines) == len(report["records"]) + 1
+
+    def test_a_run_loads_no_scipy(self, experiment, tmp_path):
+        # a fresh interpreter, so that only the CLI and a calibrated, noisy run import modules
+        script = (
+            "import sys\n"
+            "from dpvideo.cli import main\n"
+            f"code = main(['train', '--config', {experiment['config']!r}, '--out', {str(tmp_path)!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 []"
+        assert (tmp_path / "report.json").exists()
 
     def test_noiseless_run_writes_its_infinite_epsilon_as_null(self, capsys, experiment, tmp_path):
         out_dir = tmp_path / "run"

@@ -13,6 +13,7 @@ from dpvideo.data import (
     class_templates,
     generate_dataset,
     load_dataset,
+    load_dataset_spec,
     sample_clips,
     save_dataset,
 )
@@ -156,6 +157,7 @@ def test_dataset_roundtrip_is_bit_exact(tmp_path):
     save_dataset(path, spec, videos)
     loaded_spec, loaded = load_dataset(path)
     assert loaded_spec == spec
+    assert load_dataset_spec(path) == spec
     assert len(loaded) == len(videos)
     for a, b in zip(videos, loaded):
         assert a.id == b.id and a.label == b.label
@@ -185,6 +187,18 @@ def test_truncated_dataset_reports_byte_offset(tmp_path):
     path.write_bytes(blob[:-7])
     with pytest.raises(DatasetFormatError, match=r"byte offset \d+"):
         load_dataset(str(path))
+
+
+def test_spec_reader_reads_no_video_record(tmp_path):
+    spec = DatasetSpec(num_classes=2, videos_per_class=2, frames_per_video=4,
+                       clip_length=2, feature_dim=3, noise_std=0.1, seed=2)
+    path = tmp_path / "data.dpvd"
+    save_dataset(str(path), spec, generate_dataset(spec))
+    path.write_bytes(path.read_bytes()[:-7])  # the last video is truncated
+    assert load_dataset_spec(str(path)) == spec
+    path.write_bytes(path.read_bytes()[:FIRST_VIDEO_AT - 1])  # so is the header
+    with pytest.raises(DatasetFormatError, match="dataset header at byte offset 8"):
+        load_dataset_spec(str(path))
 
 
 def test_bad_magic_is_rejected(tmp_path):
@@ -218,3 +232,6 @@ def test_corrupt_dataset_fails_with_format_error(tmp_path, offset, fmt, values):
     path.write_bytes(bytes(blob))
     with pytest.raises(DatasetFormatError, match=r"byte offset \d+|dataset header"):
         load_dataset(str(path))
+    if offset < FIRST_VIDEO_AT:
+        with pytest.raises(DatasetFormatError, match="bad dataset header"):
+            load_dataset_spec(str(path))

@@ -318,11 +318,24 @@ class TestSweep:
                 assert one[key] == two[key], (seed, key)
 
     def test_a_k_above_the_clip_count_fails_before_any_run(self, datasets, monkeypatch):
-        runs = []
+        runs, loads = [], []
         monkeypatch.setattr(trainer, "train", runs.append)
+        monkeypatch.setattr(trainer, "load_dataset", loads.append)
         with pytest.raises(ValueError, match="clips_per_video 3 exceeds the 2 clips available per video"):
             sweep_clips(base_config(datasets), [1, 3])
-        assert runs == []
+        assert runs == [] and loads == []  # the check reads the training set's header alone
+
+    def test_each_run_loads_the_training_set_once(self, datasets, monkeypatch):
+        loads, load = [], trainer.load_dataset
+
+        def counted(path):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(trainer, "load_dataset", counted)
+        reports = sweep_clips(base_config(datasets, max_epochs=1.0), [1, 2], seeds=[0, 1])
+        assert len(reports) == 4
+        assert loads.count(datasets["train"]) == 4
 
     @pytest.mark.parametrize("k_values, seeds, what", [([], None, "clip counts"), ([1], [], "seeds")])
     def test_an_empty_list_is_rejected(self, datasets, k_values, seeds, what):
